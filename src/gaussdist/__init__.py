@@ -46,6 +46,7 @@ from .specfun import (
     ConvergenceError,
     SpecFunConfig,
     gamma_ratio,
+    gamma_shift_ratio,
     log_gamma,
     reg_gamma_p,
     reg_gamma_q,
@@ -71,6 +72,7 @@ __all__ = [
     "effective_dimension",
     "fit_report",
     "gamma_ratio",
+    "gamma_shift_ratio",
     "ks_one_sample",
     "ks_two_sample",
     "kurtosis",

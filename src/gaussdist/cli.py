@@ -117,26 +117,23 @@ def _write_lines(path, lines) -> None:
 
 
 def _cmd_eval(args) -> int:
-    dist = DistanceDistribution(args.k)
     if args.grid is not None:
         points = _parse_grid(args.grid)
     elif args.at is not None:
         points = np.asarray(_parse_float_list(args.at, "point"))
     else:
         raise UsageError("eval needs --grid start:stop:step or --at v1,v2,...")
-    func = {
-        "pdf": dist.pdf,
-        "cdf": dist.cdf,
-        "survival": dist.survival,
-        "quantile": dist.quantile,
-    }[args.which]
     if args.which == "quantile" and np.any((points < 0.0) | (points >= 1.0)):
         raise UsageError("quantile probabilities must lie in [0, 1)")
     try:
-        rows = [f"{_fmt(x)} {_fmt(func(float(x)))}" for x in points]
+        dist = DistanceDistribution(args.k)
+        if args.which == "quantile":
+            values = [dist.quantile(float(p)) for p in points]
+        else:
+            values = getattr(dist, args.which)(points)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_lines(args.output, rows)
+    _write_lines(args.output, [f"{_fmt(x)} {_fmt(v)}" for x, v in zip(points, values)])
     return 0
 
 
@@ -223,13 +220,14 @@ def _cmd_test(args) -> int:
             raise DataError(f"{args.sample_file}: bad k in header: {header['k']!r}") from None
     if k is None:
         raise UsageError("test needs --k (sample file has no k header)")
-    if np.any(values < 0.0):
-        raise DataError(f"{args.sample_file}: negative distances in sample")
+    try:
+        sample = EmpiricalSample(np.sort(values), k=k, source=SampleSource.EXTERNAL)
+    except ValueError as exc:
+        raise DataError(f"{args.sample_file}: {exc}") from exc
     try:
         law = DistanceDistribution(k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sample = EmpiricalSample(np.sort(values), k=k, source=SampleSource.EXTERNAL)
     ks = ks_one_sample(sample, law)
     mean_obs = float(np.mean(sample.values))
     report = FitReport(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import gamma_ratio
+from .specfun import gamma_shift_ratio
 
 __all__ = [
     "MomentSet",
@@ -69,7 +69,7 @@ def raw_moment(k: float, n: int) -> float:
     if n != int(n) or n < 1:
         raise ValueError(f"moment order must be an integer >= 1, got {n}")
     n = int(n)
-    return 2.0**n * gamma_ratio((k + n) / 2.0, k / 2.0)
+    return 2.0**n * gamma_shift_ratio(k / 2.0, n / 2.0)
 
 
 def _variance_large_k(k: float) -> float:

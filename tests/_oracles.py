@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: moments
 come from adaptive quadrature of the density, the normal CDF comes from
-math.erf, and reference special-function values come from scipy or from
-high-precision constants frozen below.
+math.erf, and reference special-function values come from scipy, from
+50-digit mpmath, or from high-precision constants frozen below.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -83,3 +84,26 @@ def closed_form_mu4(k):
         math.pi * 4.0 ** (3.0 - k) * (k - 2.0) * g(k) ** 2
         - 48.0 * g((k + 1) / 2.0) ** 4
     ) / g(k / 2.0) ** 4
+
+
+def reference_gamma_pq(a, x, digits=50):
+    """P(a, x) and Q(a, x) as mpmath numbers with `digits` significant digits.
+
+    The lower tail (x < a) is the direct sum of the power series, because
+    mpmath.gammainc is unreliable there at large a (5e-4 off at a = 1e4,
+    x = 0.89 a; NoConvergence at a = 1e5).  The upper tail uses
+    mpmath.gammainc, which is accurate for it.
+    """
+    with mpmath.workdps(digits):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        if x < a:
+            term = total = mpmath.mpf(1)
+            n = 0
+            while term > total * mpmath.mpf(10) ** -(digits - 5):
+                n += 1
+                term *= x / (a + n)
+                total += term
+            p = total * mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+            return +p, 1 - p
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        return 1 - q, +q

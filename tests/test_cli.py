@@ -71,6 +71,25 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--k", "2", "--which", "pdf")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["nan", "0.5"])
+    def test_bad_dimension_is_usage_error(self, capsys, k):
+        code, _, err = run(capsys, "eval", "--k", k, "--which", "cdf", "--at", "1")
+        assert code == 2
+        assert "dimension" in err
+
+    def test_grid_rows_match_scalar_calls(self, capsys):
+        # One array call per grid; iterative lanes may run past their own
+        # convergence point, so agreement is to rounding, not bitwise.
+        from gaussdist.distribution import DistanceDistribution
+
+        law = DistanceDistribution(2000)
+        for which in ("cdf", "survival"):
+            _, out, _ = run(capsys, "eval", "--k", "2000", "--which", which,
+                            "--grid", "55:75:0.5")
+            for line in out.splitlines():
+                x, value = (float(cell) for cell in line.split())
+                assert value == pytest.approx(getattr(law, which)(x), rel=1e-13)
+
 
 class TestMoments:
     def test_table_values(self, capsys):
@@ -176,6 +195,14 @@ class TestTest:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_value_is_io_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.5\n{bad}\n2.0\n")
+        code, _, err = run(capsys, "test", str(path), "--k", "2")
+        assert code == 3
+        assert "finite" in err
+
     def test_json_written_to_output(self, capsys, tmp_path):
         sample = self.make_sample(tmp_path, 4, 2000, 5)
         out_path = tmp_path / "report.json"
@@ -239,6 +266,17 @@ class TestDiagnose:
         path = self.write_csv(tmp_path, std)
         code, out, _ = run(capsys, "diagnose", str(path), "--no-standardize")
         assert code == 0
+
+    def test_more_columns_than_iterative_kernel_allows(self, capsys, tmp_path):
+        # 5000 columns put every pair near the bulk of the law at a = 2500,
+        # where the series and continued fraction exceed their budget.
+        rng = np.random.default_rng(5)
+        path = self.write_csv(tmp_path, rng.standard_normal((20, 5000)))
+        code, out, _ = run(capsys, "diagnose", str(path))
+        assert code == 0
+        payload = json.loads(out.strip())
+        assert payload["n_pairs"] == 190
+        assert payload["ks_passed"] is True
 
     def test_json_round_trips_to_report(self, capsys, tmp_path):
         rng = np.random.default_rng(4)

@@ -14,6 +14,7 @@ from _oracles import (
     golden_section_max,
     ks_statistic_against,
     normal_cdf,
+    reference_gamma_pq,
 )
 
 FIG4_SET = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
@@ -172,6 +173,29 @@ class TestQuantile:
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
             DistanceDistribution(3).quantile(p)
+
+
+class TestLargeDimension:
+    """cdf, survival and quantile near the bulk at k up to 1e6."""
+
+    @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
+    def test_cdf_and_survival_against_mpmath(self, k):
+        law = DistanceDistribution(k)
+        center = math.sqrt(2.0 * k)
+        rs = center + np.array([-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
+        cdf, sf = law.cdf(rs), law.survival(rs)
+        for r, c, s in zip(rs, cdf, sf):
+            p_ref, q_ref = reference_gamma_pq(k / 2.0, r**2 / 4.0)
+            assert c == pytest.approx(float(p_ref), rel=1e-12)
+            assert s == pytest.approx(float(q_ref), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
+    def test_quantile_inverts_the_reference_cdf(self, k):
+        law = DistanceDistribution(k)
+        for p in (0.001, 0.5, 0.999):
+            r = law.quantile(p)
+            p_ref, _ = reference_gamma_pq(k / 2.0, r**2 / 4.0)
+            assert float(p_ref) == pytest.approx(p, rel=1e-10)
 
 
 class TestSampler:

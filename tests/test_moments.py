@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from gaussdist.distribution import DistanceDistribution
@@ -208,3 +209,25 @@ class TestMonteCarloEquivalence:
         assert stats.kurtosis == pytest.approx(
             kurtosis(k), abs=4.0 * math.sqrt(24.0 / n)
         )
+
+
+class TestNonIntegerLargeK:
+    def test_higher_moments_against_mpmath(self):
+        # At k = 2046.76, (k + 3)/2 - k/2 rounds below 1.5, so a ratio formed
+        # from the two arguments would leave the exact half-integer path.
+        k = 2046.76
+        assert (k + 3.0) / 2.0 - k / 2.0 != 1.5
+        with mpmath.workdps(50):
+            half = mpmath.mpf(k) / 2
+            m1, m2, m3, m4 = (
+                2**n * mpmath.gamma(half + mpmath.mpf(n) / 2) / mpmath.gamma(half)
+                for n in range(1, 5)
+            )
+            mu2 = m2 - m1**2
+            mu3 = m3 - 3 * m1 * m2 + 2 * m1**3
+            mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
+            expected = [float(v) for v in (mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
+        got = [central_moment(k, 3), central_moment(k, 4), skewness(k), kurtosis(k)]
+        # The binomial expansion over raw moments of size ~k^2 loses about
+        # k^1.5 ulps (5e-9 measured); the inexact offset cost 3e-5.
+        assert got == pytest.approx(expected, rel=1e-7)

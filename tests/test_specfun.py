@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +7,23 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from gaussdist.specfun import (
+    _TEMME_COEF,
     ConvergenceError,
     SpecFunConfig,
     gamma_ratio,
+    gamma_shift_ratio,
     log_gamma,
     reg_gamma_p,
     reg_gamma_q,
 )
 
-from _oracles import LN_120, LN_SQRT_PI, Q_2P5_2P0, RATIO_50P5_50
+from _oracles import (
+    LN_120,
+    LN_SQRT_PI,
+    Q_2P5_2P0,
+    RATIO_50P5_50,
+    reference_gamma_pq,
+)
 
 
 class TestConfig:
@@ -126,9 +135,87 @@ class TestRegularizedGamma:
             reg_gamma_q(a, x)
 
     def test_convergence_error_signals_pathological_input(self):
+        # x = 0.65 a lies outside the Temme window, so the series runs and
+        # needs about 70 iterations.
         tight = SpecFunConfig(rel_tolerance=1e-12, max_iterations=50)
         with pytest.raises(ConvergenceError):
-            reg_gamma_p(1e6, 1e6, config=tight)
+            reg_gamma_p(1e6, 6.5e5, config=tight)
+
+
+def temme_table_exact(rows, cols):
+    """d[k][n] of DLMF 8.12, in exact rationals.
+
+    With mu = lambda - 1 as a power series in eta (mu mu' = eta (1 + mu),
+    from eta^2/2 = lambda - 1 - ln lambda), c_0 = 1/mu - 1/eta, and
+    c_k = c_{k-1}'/eta + (-1)^k g_k/mu, where g_k cancels the 1/eta term:
+    d[k][n] = (n + 2) d[k-1][n+2] - d[k-1][1] d[0][n].
+    """
+    size = cols + 2 * (rows - 1)
+    mu = [Fraction(0), Fraction(1)]
+    for n in range(2, size + 2):
+        cross = sum(mu[i] * mu[n + 1 - i] for i in range(2, n))
+        mu.append((Fraction(2, n + 1) * mu[n - 1] - cross) / 2)
+    # eta/mu as a power series; its coefficient of eta^(n+1) is d[0][n].
+    inv = [Fraction(1)]
+    for i in range(1, size + 1):
+        inv.append(-sum(mu[j + 1] * inv[i - j] for j in range(1, i + 1)))
+    table = [inv[1:size + 1]]
+    for k in range(1, rows):
+        prev = table[-1]
+        table.append([(n + 2) * prev[n + 2] - prev[1] * table[0][n]
+                      for n in range(size - 2 * k)])
+    return [row[:cols] for row in table]
+
+
+class TestTemmeExpansion:
+    # Inside the window a >= 20, |x - a| < 0.3 a the expansion runs, and it
+    # needs no iterations, so a 50-iteration budget suffices at any a.
+    TIGHT = SpecFunConfig(max_iterations=50)
+
+    def test_table_matches_exact_rationals(self):
+        exact = temme_table_exact(*_TEMME_COEF.shape)
+        assert exact[0][:5] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
+                                Fraction(1, 864), Fraction(1, 2835)]
+        assert exact[1][0] == Fraction(-1, 540)
+        assert _TEMME_COEF.tolist() == [[float(d) for d in row] for row in exact]
+
+    @pytest.mark.parametrize("a", [20.0, 100.0, 1e3, 1e4, 1e5, 5e5])
+    def test_window_against_50_digit_reference(self, a):
+        ratios = np.concatenate([np.linspace(0.701, 1.299, 25), [1.0, 1.0 + 1e-9]])
+        for x in a * ratios:
+            p_ref, q_ref = reference_gamma_pq(a, x)
+            p = reg_gamma_p(a, x, config=self.TIGHT)
+            q = reg_gamma_q(a, x, config=self.TIGHT)
+            assert p == pytest.approx(float(p_ref), rel=5e-13, abs=1e-300)
+            assert q == pytest.approx(float(q_ref), rel=5e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("a", [20.0, 100.0, 1e3, 1e4])
+    def test_outside_window_against_50_digit_reference(self, a):
+        # The series and continued fraction scale by x^a e^-x / Gamma(a),
+        # whose exponent carries a rounding error of about a ln(x) ulps.
+        for x in a * np.array([0.5, 0.65, 0.69, 1.31, 1.4, 1.5]):
+            p_ref, q_ref = reference_gamma_pq(a, x)
+            assert reg_gamma_p(a, x) == pytest.approx(float(p_ref), rel=2e-11, abs=1e-300)
+            assert reg_gamma_q(a, x) == pytest.approx(float(q_ref), rel=2e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("a", [20.0, 100.0])
+    def test_continuous_across_window_edges(self, a):
+        for edge in (0.7 * a, 1.3 * a):
+            inside = np.nextafter(edge, a)
+            outside = edge if abs(edge - a) >= 0.3 * a else np.nextafter(edge, 2 * edge - a)
+            assert abs(inside - a) < 0.3 * a <= abs(outside - a)
+            for f in (reg_gamma_p, reg_gamma_q):
+                assert f(a, inside) == pytest.approx(f(a, outside), rel=1e-13)
+
+    def test_continuous_across_minimum_a(self):
+        below = np.nextafter(20.0, 0.0)
+        for x in 20.0 * np.array([0.75, 0.9, 1.0, 1.1, 1.25]):
+            for f in (reg_gamma_p, reg_gamma_q):
+                assert f(20.0, x) == pytest.approx(f(below, x), rel=1e-13)
+
+    def test_array_matches_scalar(self):
+        xs = 1e5 * np.linspace(0.72, 1.28, 15)
+        assert np.array_equal(reg_gamma_q(1e5, xs), [reg_gamma_q(1e5, x) for x in xs])
 
 
 class TestGammaRatio:
@@ -154,6 +241,16 @@ class TestGammaRatio:
         for den in (64.5, 100.0, 1000.0):
             ref = math.exp(gammaln(den + 0.5) - gammaln(den))
             assert gamma_ratio(den + 0.5, den) == pytest.approx(ref, rel=1e-11)
+
+    def test_shift_ratio_keeps_an_exact_half_integer_offset(self):
+        # (x + 1.5) - x rounds below 1.5 here; the shift form keeps the
+        # exact offset and matches the recurrence on the half-step series.
+        x = 1023.38
+        assert (x + 1.5) - x != 1.5
+        assert gamma_shift_ratio(x, 1.5) == gamma_shift_ratio(x, 0.5) * (x + 0.5)
+        assert gamma_shift_ratio(x, 1.5) == pytest.approx(
+            math.exp(gammaln(x + 1.5) - gammaln(x)), rel=1e-11
+        )
 
     def test_reciprocal_symmetry(self):
         assert gamma_ratio(2.0, 7.5) == pytest.approx(
