@@ -9,8 +9,11 @@ results never depend on --threads.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = ["main", "PlotSeries", "density_series"]
 FIG4_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
 FIG2_GRID = (0.0, 6.0, 0.01)
 FIG4_GRID = (0.0, 18.0, 0.01)
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise UsageError(f"grid must be start:stop:step, got {spec!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0.0 or stop < start:
         raise UsageError(f"grid needs start <= stop and step > 0, got {spec!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = np.floor((stop - start) / step + 1e-9)
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
+    return start + step * np.arange(int(span) + 1)
 
 
 def _parse_float_list(spec: str, what: str) -> list[float]:
@@ -106,11 +114,34 @@ def _open_output(path):
 def _write_lines(path, lines) -> None:
     stream, close = _open_output(path)
     try:
-        for line in lines:
-            stream.write(line + "\n")
+        stream.write("\n".join(lines) + "\n")
     finally:
         if close:
             stream.close()
+
+
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as stream:
+            return stream.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _is_number(cell: str) -> bool:
+    """Whether numpy's text reader takes cell as a float.
+
+    numpy strips the whitespace around a cell and parses the rest as
+    float() does, less float()'s underscores and non-ASCII digits.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # -- eval ----------------------------------------------------------------
@@ -175,36 +206,54 @@ def _cmd_sample(args) -> int:
         f"# method: {args.method}",
         f"# version: {__version__}",
     ]
-    lines.extend(_fmt(v) for v in sample.values)
+    lines.extend(map(repr, sample.values.tolist()))
     _write_lines(args.output, lines)
     return 0
 
 
-def _read_sample_file(path) -> tuple[np.ndarray, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            raw = stream.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+def _sample_header(text: str) -> dict:
+    """Keys of `# key: value` comment lines; a later key wins.
+
+    Only the `#` positions are visited, so the numbers between them cost
+    one C-level search rather than a Python step per line.
+    """
     header: dict = {}
-    values = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
+    hash_at = text.find("#")
+    while hash_at >= 0:
+        line_end = text.find("\n", hash_at)
+        if line_end < 0:
+            line_end = len(text)
+        if not text[text.rfind("\n", 0, hash_at) + 1 : hash_at].strip():
+            key, colon, val = text[hash_at:line_end].lstrip("#").partition(":")
+            if colon:
                 header[key.strip()] = val.strip()
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: not a number: {text!r}") from None
-    if not values:
+        hash_at = text.find("#", line_end)
+    return header
+
+
+def _read_sample_file(path) -> tuple[np.ndarray, dict]:
+    text = _read_text(path)
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported below, not as numpy's warning.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(io.StringIO(text), comments="#", ndmin=2)
+    except ValueError:
+        raise _bad_sample_line(path, text) from None
+    if values.shape[1] != 1:
+        raise _bad_sample_line(path, text)
+    if not values.size:
         raise DataError(f"{path}: no sample values found")
-    return np.asarray(values), header
+    return values.ravel(), _sample_header(text)
+
+
+def _bad_sample_line(path, text: str) -> DataError:
+    """The error naming the first line that holds other than one number."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        cell = line.partition("#")[0].strip()
+        if cell and not _is_number(cell):
+            return DataError(f"{path}: line {lineno}: not a number: {cell!r}")
+    return DataError(f"{path}: not one number per line")
 
 
 # -- test -----------------------------------------------------------------
@@ -263,58 +312,59 @@ def _cmd_test(args) -> int:
 # -- diagnose -------------------------------------------------------------
 
 
-def _parse_dataset(path, delimiter: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            raw = stream.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [
-        (lineno, line) for lineno, line in enumerate(raw, start=1)
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of every line that is neither blank nor a comment."""
+    return [
+        (lineno, line) for lineno, line in enumerate(text.split("\n"), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
+
+
+def _parse_dataset(path, delimiter: str) -> np.ndarray:
+    text = _read_text(path)
+    lines = [line for _, line in _data_lines(text)]
     if not lines:
         raise DataError(f"{path}: no data rows")
-
-    def cells_of(line: str) -> list[str]:
-        return [c.strip() for c in line.split(delimiter)]
-
-    start = 0
-    first = cells_of(lines[0][1])
-    header_row = True
-    for cell in first:
-        try:
-            float(cell)
-            header_row = False
-            break
-        except ValueError:
-            continue
-    if header_row:
-        start = 1
-    if start >= len(lines):
+    header_rows = 0 if any(map(_is_number, lines[0].split(delimiter))) else 1
+    if header_rows >= len(lines):
         raise DataError(f"{path}: no data rows after header")
-    width = len(cells_of(lines[start][1]))
-    matrix = []
-    for row_index, (lineno, line) in enumerate(lines[start:]):
-        cells = cells_of(line)
+    try:
+        return np.loadtxt(
+            lines[header_rows:], delimiter=delimiter, comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        numbered = _data_lines(text)[header_rows:]
+        raise _bad_dataset_row(path, numbered, delimiter, exc) from None
+
+
+def _bad_dataset_row(path, numbered, delimiter: str, exc: ValueError) -> DataError:
+    """The error naming the first line numpy's reader rejected.
+
+    numpy's own message numbers rows from 0 for a bad cell and from 1
+    for a ragged row, so lines are checked again here.
+    """
+    width = len(numbered[0][1].split(delimiter))
+    for row_index, (lineno, line) in enumerate(numbered):
+        cells = line.split(delimiter)
         if len(cells) != width:
-            raise DataError(
+            return DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(cells)}"
             )
-        row = []
         for col, cell in enumerate(cells):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise DataError(
+            if not _is_number(cell):
+                return DataError(
                     f"{path}: line {lineno}: row {row_index}, column {col}: "
-                    f"not a number: {cell!r}"
-                ) from None
-        matrix.append(row)
-    return np.asarray(matrix)
+                    f"not a number: {cell.strip()!r}"
+                )
+    return DataError(f"{path}: {exc}")
 
 
 def _cmd_diagnose(args) -> int:
+    if len(args.delimiter) != 1 or args.delimiter in "\r\n":
+        raise UsageError(
+            f"--delimiter must be one character other than a line break, "
+            f"got {args.delimiter!r}"
+        )
     matrix = _parse_dataset(args.dataset_file, args.delimiter)
     try:
         data = DatasetMatrix(matrix, standardized=args.no_standardize)
@@ -400,6 +450,13 @@ def _cmd_contrast(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussdist",
@@ -434,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="analytic",
         help="analytic gamma-variate sampler, or direct point-pair simulation",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker cap; never changes output")
+    p.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker cap (>= 1); never changes output"
+    )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_sample)
 
@@ -464,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="1,10,100,1000", help="comma-separated dimensions")
     p.add_argument("--n", type=int, default=100, help="points per experiment")
     p.add_argument("--seeds", default="20", help="seed count, or comma-separated seeds")
-    p.add_argument("--threads", type=int, default=1, help="worker cap; never changes output")
+    p.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker cap (>= 1); never changes output"
+    )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_contrast)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moments
 from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
 from .specfun import ConvergenceError, log_gamma, reg_gamma_p, reg_gamma_q
 
@@ -25,7 +24,9 @@ __all__ = ["DistanceDistribution", "pdf_1d"]
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2 = math.log(2.0)
 
-_QUANTILE_TOL = 1e-14
+_EPS = float(np.finfo(float).eps)
+_QUANTILE_RTOL = 1e-14
+_QUANTILE_NOISE_GATE = 1e-8
 _QUANTILE_MAX_ITER = 200
 _SAMPLE_BLOCK = 1 << 20
 
@@ -35,6 +36,18 @@ def _validate_r(r) -> tuple[np.ndarray, bool]:
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("distance must be finite and non-negative")
     return arr, arr.ndim == 0
+
+
+def _normal_tail_quantile(t: float) -> float:
+    """The z >= 0 with standard-normal upper tail t, for 0 < t <= 1/2.
+
+    Abramowitz & Stegun 26.2.23, absolute error under 4.5e-4: enough
+    for a starting point.
+    """
+    w = math.sqrt(-2.0 * math.log(t))
+    return w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
+        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))
+    )
 
 
 @dataclass(frozen=True)
@@ -88,42 +101,63 @@ class DistanceDistribution:
     def quantile(self, p: float) -> float:
         """The r with cdf(r) = p, for 0 <= p < 1.
 
-        Newton iteration seeded at the mean, with a bisection safeguard
-        on a bracket that always contains the root; the pdf is smooth and
-        unimodal so this converges to essentially machine precision.
+        Newton iteration on the logarithm of the smaller tail (cdf for
+        p <= 1/2, survival above), so the tolerance is relative to the
+        tail probability and tail quantiles keep full precision.  The
+        density is log-concave, hence so are both tails, and Newton on
+        their logarithms converges monotonically after at most one
+        overshoot; a bisection safeguard on a bracket of the root takes
+        over where a tail or the density underflows.  The start is the
+        Wilson-Hilferty approximation R^2/4 ~ a (1 - h + z sqrt h)^3,
+        h = 1/(9a), a = k/2, raised in the lower tail to the root of
+        the bound cdf <= (r^2/4)^a / Gamma(a + 1), which is the quantile
+        itself once its relative error, under r^2/4, is below rounding.
         """
         p = float(p)
         if not (0.0 <= p < 1.0) or math.isnan(p):
             raise ValueError(f"quantile requires 0 <= p < 1, got {p}")
         if p == 0.0:
             return 0.0
-        mean = moments.raw_moment(self.k, 1)
-        sd = math.sqrt(moments.central_moment(self.k, 2))
-        lo, hi = 0.0, mean + 12.0 * sd
-        while self.cdf(hi) < p:
-            hi *= 2.0
-        # Solve on the better-conditioned tail.
-        q = 1.0 - p
-        use_upper = p > 0.5
-        r = mean
-        f = None
+        upper = p > 0.5
+        target = 1.0 - p if upper else p
+        tail = self.survival if upper else self.cdf
+        shape = 0.5 * self.k
+        h = 1.0 / (9.0 * shape)
+        z = _normal_tail_quantile(target)
+        cube_root = 1.0 - h + (z if upper else -z) * math.sqrt(h)
+        r = 2.0 * math.sqrt(shape) * cube_root**1.5 if cube_root > 0.0 else 0.0
+        if not upper:
+            floor = 2.0 * p ** (1.0 / self.k) * math.exp(math.lgamma(shape + 1.0) / self.k)
+            if floor * floor / 4.0 <= _EPS:
+                return floor
+            r = max(r, floor)
+        lo, hi = 0.0, math.inf
+        err = step = math.inf
         for _ in range(_QUANTILE_MAX_ITER):
-            f = (q - self.survival(r)) if use_upper else (self.cdf(r) - p)
-            if f < 0.0:
+            t = tail(r)
+            if (t < target) != upper:
                 lo = r
             else:
                 hi = r
-            if abs(f) <= _QUANTILE_TOL:
+            err = math.log(t / target) if t > 0.0 else -math.inf
+            if abs(err) <= _QUANTILE_RTOL:
                 return r
-            slope = self.pdf(r)
-            step = f / slope if slope > 0.0 else 0.0
-            candidate = r - step
-            if not lo < candidate < hi or step == 0.0:
-                candidate = 0.5 * (lo + hi)
-            if candidate == r or (hi - lo) <= 4.0 * np.finfo(float).eps * max(r, 1.0):
-                return r
+            density = self.pdf(r)
+            candidate = math.nan
+            if math.isfinite(err) and density > 0.0:
+                # d log(cdf)/dr = pdf/cdf and d log(survival)/dr = -pdf/survival.
+                last, step = step, err * t / density
+                # Converged to rounding, or to the noise floor of the tail:
+                # near the root Newton steps shrink until rounding stops them.
+                if abs(step) <= 2.0 * _EPS * r or (
+                    abs(err) < _QUANTILE_NOISE_GATE and abs(step) > 0.5 * abs(last)
+                ):
+                    return r
+                candidate = r + step if upper else r - step
+            if not lo < candidate < hi:
+                candidate = 0.5 * (lo + hi) if hi < math.inf else 2.0 * r
             r = candidate
-        if f is not None and abs(f) <= 1e-10:
+        if abs(err) <= 1e-10:
             return r
         raise ConvergenceError(f"quantile iteration stalled at k={self.k}, p={p}")
 

@@ -304,7 +304,8 @@ def _sigma_minus_log1p(sigma: np.ndarray) -> np.ndarray:
     is under 5% of the first.
     """
     u = sigma / (2.0 + sigma)
-    return sigma * u - 2.0 * u**3 * _horner(_ATANH_COEF, u * u)
+    u2 = u * u
+    return sigma * u - 2.0 * (u * u2) * _horner(_ATANH_COEF, u2)
 
 
 def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussdist.cli import PlotSeries, density_series, main
+from gaussdist.cli import PlotSeries, _parse_dataset, _read_sample_file, density_series, main
 from gaussdist.diagnostics import FitReport
 
 from _oracles import INV_SQRT_PI, TWO_SQRT_LN2
@@ -56,7 +59,9 @@ class TestEval:
             assert value == law.pdf(x)
 
     @pytest.mark.parametrize(
-        "grid", ["bad", "1:0:0.5", "0:1:0", "0:1:-2", "0:1"]
+        "grid",
+        ["bad", "1:0:0.5", "0:1:0", "0:1:-2", "0:1",
+         "0:nan:1", "0:inf:1", "nan:1:0.5", "0:1:inf", "0:1e12:1e-3", "0:1e308:1e-308"],
     )
     def test_malformed_grid_is_usage_error(self, capsys, grid):
         code, _, err = run(capsys, "eval", "--k", "2", "--which", "pdf", "--grid", grid)
@@ -147,6 +152,14 @@ class TestSample:
         code, _, _ = run(capsys, "sample", "--k", "2", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["sample", "contrast"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, capsys, command, threads):
+        argv = ["--k", "2", "--n", "10", "--threads", threads]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "--threads" in err and out == ""
+
     def test_direct_method_needs_integer_dimension(self, capsys):
         code, _, _ = run(
             capsys, "sample", "--k", "2.5", "--n", "10", "--method", "direct"
@@ -202,6 +215,39 @@ class TestTest:
         code, _, err = run(capsys, "test", str(path), "--k", "2")
         assert code == 3
         assert "finite" in err
+
+    def test_two_numbers_on_a_line_name_the_line(self, capsys, tmp_path):
+        # Every line holds two numbers, so numpy's reader parses a clean
+        # two-column table; it is still not a sample file.
+        path = tmp_path / "pairs.txt"
+        path.write_text("# k: 2\n1.5 2.5\n3.0 4.0\n")
+        code, _, err = run(capsys, "test", str(path))
+        assert code == 3
+        assert "line 2" in err and "'1.5 2.5'" in err
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0661"])
+    def test_spellings_outside_the_grammar_name_the_line(self, capsys, tmp_path, spelling):
+        path = tmp_path / "odd.txt"
+        path.write_text(f"# k: 2\n1.5\n\n{spelling}\n", encoding="utf-8")
+        code, _, err = run(capsys, "test", str(path))
+        assert code == 3
+        assert "line 4" in err
+
+    def test_comments_only_file_is_io_error_without_warning(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# k: 2\n\n# nothing else\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "test", str(path))
+        assert code == 3
+        assert "no sample values" in err
+
+    def test_undecodable_file_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# k: 2\n1.5\n\xff\n")
+        code, _, err = run(capsys, "test", str(path))
+        assert code == 3
+        assert "cannot read" in err
 
     def test_json_written_to_output(self, capsys, tmp_path):
         sample = self.make_sample(tmp_path, 4, 2000, 5)
@@ -259,6 +305,21 @@ class TestDiagnose:
         assert code == 0
         assert json.loads(out.strip())["k"] == 4.0
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n"])
+    def test_delimiter_must_be_one_character(self, capsys, tmp_path, delimiter):
+        path = self.write_csv(tmp_path, np.ones((5, 2)))
+        code, _, err = run(capsys, "diagnose", str(path), "--delimiter", delimiter)
+        assert code == 2
+        assert "delimiter" in err
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "", "2 3"])
+    def test_cells_outside_the_grammar_name_row_and_column(self, capsys, tmp_path, cell):
+        path = tmp_path / "cell.csv"
+        path.write_text(f"x,y\n# note\n1.0,2.0\n\n3.0,{cell}\n", encoding="utf-8")
+        code, _, err = run(capsys, "diagnose", str(path))
+        assert code == 3
+        assert "line 5: row 1, column 1" in err
+
     def test_no_standardize_trusts_the_data(self, capsys, tmp_path):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal((100, 5))
@@ -285,6 +346,85 @@ class TestDiagnose:
         payload = json.loads(out.strip())
         report = FitReport.from_dict(payload)
         assert report.to_dict() == payload
+
+
+def _padded(draw, text):
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def text_tables(draw, columns):
+    """Cells of a table of finite doubles written by repr or %.10g, and the
+    values per-cell float() decodes from them: the readers' reference."""
+    width = draw(columns)
+    rows = draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width,
+                 max_size=width),
+        min_size=1, max_size=12,
+    ))
+    spell = draw(st.sampled_from([repr, "%.10g".__mod__]))
+    cells = [[spell(v) for v in row] for row in rows]
+    return cells, [[float(c) for c in row] for row in cells]
+
+
+def _reference_header(text):
+    """`# key: value` lines read one at a time; a later key wins."""
+    header = {}
+    for line in text.splitlines():
+        body = line.strip()
+        if body.startswith("#"):
+            key, colon, val = body.lstrip("#").partition(":")
+            if colon:
+                header[key.strip()] = val.strip()
+    return header
+
+
+def _layout(draw, data_lines, head):
+    """Interleave comment and blank lines and pick a line ending."""
+    lines = list(head)
+    for line in data_lines:
+        lines.extend(draw(st.lists(
+            st.sampled_from(["", "   ", "# note", "  # k: 1.5", "#", "\t#x: y"]), max_size=2)))
+        lines.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestTextReaders:
+    """Both readers decode exactly what per-cell float() decodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dataset_matches_per_cell_float(self, tmp_path_factory, data):
+        draw = data.draw
+        delimiter = draw(st.sampled_from([",", ";", "\t"]))
+        cells, expected = draw(text_tables(st.integers(1, 6)))
+        pad = (lambda c: c) if delimiter == "\t" else (lambda c: _padded(draw, c))
+        header = [delimiter.join(f"col{j}" for j in range(len(cells[0])))]
+        head = header if draw(st.booleans()) else []
+        text = _layout(draw, [delimiter.join(pad(c) for c in row) for row in cells], head)
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        got, want = _parse_dataset(path, delimiter), np.asarray(expected)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sample_file_matches_per_line_float(self, tmp_path_factory, data):
+        draw = data.draw
+        cells, expected = draw(text_tables(st.just(1)))
+        head = ["# k: 3.0", "#n:7", "## method : direct "]
+        # A comment after a value sets no header key.
+        trailing = st.sampled_from(["", " # k: 9", "#seed: 1"])
+        text = _layout(draw, [_padded(draw, row[0]) + draw(trailing) for row in cells], head)
+        path = tmp_path_factory.getbasetemp() / "sample.txt"
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        values, header = _read_sample_file(path)
+        assert values.tobytes() == np.asarray(expected).ravel().tobytes()
+        assert header == _reference_header(text)
 
 
 class TestPlotSeries:

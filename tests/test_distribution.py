@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfinv
+from scipy.stats import chi
 
 from gaussdist.distribution import DistanceDistribution, pdf_1d
 from gaussdist.montecarlo import SampleSource, ecdf, ks_one_sample, ks_two_sample, simulate_pairs
@@ -168,6 +170,15 @@ class TestQuantile:
         law = DistanceDistribution(9)
         qs = [law.quantile(p) for p in np.linspace(0.01, 0.99, 25)]
         assert all(a < b for a, b in zip(qs, qs[1:]))
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100, 1e4])
+    @pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-12, 1e-9, 1.0 - 1e-15])
+    def test_tail_quantiles_against_scipy(self, k, p):
+        # R = sqrt(2) chi_k; at k = 1 that is 2 |N(0, 1/2)|, whose quantile
+        # 2 erfinv(p) stays representable at p = 1e-300 where chi.ppf
+        # rounds to 0.
+        expected = 2.0 * erfinv(p) if k == 1 else chi.ppf(p, k, scale=math.sqrt(2.0))
+        assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_domain_errors(self, p):
