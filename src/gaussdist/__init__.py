@@ -19,6 +19,7 @@ from .diagnostics import (
     fit_report,
     pairwise_distances,
     relative_contrast_curve,
+    sample_fit_report,
     standardize,
 )
 from .distribution import DistanceDistribution, pdf_1d
@@ -84,6 +85,7 @@ __all__ = [
     "reg_gamma_p",
     "reg_gamma_q",
     "relative_contrast_curve",
+    "sample_fit_report",
     "sample_moments",
     "simulate_pairs",
     "skewness",

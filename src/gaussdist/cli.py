@@ -14,53 +14,26 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
     DatasetMatrix,
-    FitReport,
-    effective_dimension,
     fit_report,
     relative_contrast_curve,
+    sample_fit_report,
     standardize,
 )
 from .distribution import DistanceDistribution
-from .moments import central_moment, moment_set, raw_moment
-from .montecarlo import EmpiricalSample, SampleSource, ks_one_sample, simulate_pairs
+from .moments import moment_set
+from .montecarlo import EmpiricalSample, SampleSource, simulate_pairs
 
-__all__ = ["main", "PlotSeries", "density_series"]
+__all__ = ["main"]
 
 FIG4_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
 FIG2_GRID = (0.0, 6.0, 0.01)
 FIG4_GRID = (0.0, 18.0, 0.01)
 MAX_GRID_POINTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    """One labelled density curve: (r, density) points sorted by r."""
-
-    label: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        rs = [r for r, _ in self.points]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("plot points must be sorted by increasing r")
-        if any(density < 0.0 for _, density in self.points):
-            raise ValueError("densities cannot be negative")
-
-
-def density_series(k: float, grid: np.ndarray) -> PlotSeries:
-    """Density curve of the distance law at dimension k over a grid."""
-    densities = DistanceDistribution(float(k)).pdf(grid)
-    return PlotSeries(
-        label=f"k={k:g}",
-        points=tuple(zip((float(r) for r in grid), (float(d) for d in densities))),
-    )
 
 
 class UsageError(Exception):
@@ -154,8 +127,6 @@ def _cmd_eval(args) -> int:
         points = np.asarray(_parse_float_list(args.at, "point"))
     else:
         raise UsageError("eval needs --grid start:stop:step or --at v1,v2,...")
-    if args.which == "quantile" and np.any((points < 0.0) | (points >= 1.0)):
-        raise UsageError("quantile probabilities must lie in [0, 1)")
     try:
         dist = DistanceDistribution(args.k)
         if args.which == "quantile":
@@ -270,26 +241,14 @@ def _cmd_test(args) -> int:
     if k is None:
         raise UsageError("test needs --k (sample file has no k header)")
     try:
-        sample = EmpiricalSample(np.sort(values), k=k, source=SampleSource.EXTERNAL)
+        sample = EmpiricalSample(values, k=k, source=SampleSource.EXTERNAL)
     except ValueError as exc:
         raise DataError(f"{args.sample_file}: {exc}") from exc
     try:
         law = DistanceDistribution(k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    ks = ks_one_sample(sample, law)
-    mean_obs = float(np.mean(sample.values))
-    report = FitReport(
-        k=float(k),
-        n_pairs=sample.n,
-        ks=ks,
-        mean_observed=mean_obs,
-        mean_expected=raw_moment(k, 1),
-        variance_observed=float(np.var(sample.values, ddof=1)),
-        variance_expected=central_moment(k, 2),
-        effective_dimension=effective_dimension(mean_obs),
-        dependence_caveat=False,
-    )
+    report = sample_fit_report(sample, law, dependence_caveat=False)
     payload = report.to_dict()
     for key in (
         "ks_statistic",
@@ -306,7 +265,7 @@ def _cmd_test(args) -> int:
     print(text)
     if args.output is not None:
         _write_lines(args.output, [text])
-    return 0 if ks.passed else 1
+    return 0 if report.ks.passed else 1
 
 
 # -- diagnose -------------------------------------------------------------
@@ -391,16 +350,14 @@ def _cmd_plotdata(args) -> int:
         dims = list(FIG4_DIMENSIONS)
         start, stop, step = FIG4_GRID
     grid = _parse_grid(f"{start}:{stop}:{step}")
-    series = [density_series(k, grid) for k in dims]
-    lines = ["r," + ",".join(s.label for s in series)]
-    for i, r in enumerate(grid):
-        lines.append(
-            _fmt(r) + "," + ",".join(_fmt(s.points[i][1]) for s in series)
-        )
+    labels = [f"k={k:g}" for k in dims]
+    table = np.column_stack([grid] + [DistanceDistribution(k).pdf(grid) for k in dims])
+    lines = ["r," + ",".join(labels)]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     _write_lines(args.output, lines)
     meta = {
         "figure": args.figure,
-        "series": [s.label for s in series],
+        "series": labels,
         "r_start": start,
         "r_stop": stop,
         "r_step": step,

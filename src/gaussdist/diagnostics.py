@@ -34,6 +34,7 @@ __all__ = [
     "distance_pvalue",
     "effective_dimension",
     "fit_report",
+    "sample_fit_report",
     "relative_contrast_curve",
 ]
 
@@ -101,9 +102,7 @@ def pairwise_distances(data: DatasetMatrix) -> EmpiricalSample:
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     iu = np.triu_indices(data.rows, k=1)
     values = np.sqrt(np.maximum(d2[iu], 0.0))
-    return EmpiricalSample(
-        np.sort(values), k=float(data.cols), source=SampleSource.EXTERNAL
-    )
+    return EmpiricalSample(values, k=float(data.cols), source=SampleSource.EXTERNAL)
 
 
 def distance_pvalue(dist: DistanceDistribution, observed: float, tail: str) -> float:
@@ -194,26 +193,36 @@ class FitReport:
         )
 
 
+def sample_fit_report(
+    sample: EmpiricalSample, law: DistanceDistribution, dependence_caveat: bool
+) -> FitReport:
+    """Compare a sample of distances to the law.
+
+    dependence_caveat records that the distances share points, so the KS
+    test is indicative rather than exact.
+    """
+    ks = ks_one_sample(sample, law)
+    mean_obs = float(np.mean(sample.values))
+    return FitReport(
+        k=law.k,
+        n_pairs=sample.n,
+        ks=ks,
+        mean_observed=mean_obs,
+        mean_expected=raw_moment(law.k, 1),
+        variance_observed=float(np.var(sample.values, ddof=1)),
+        variance_expected=central_moment(law.k, 2),
+        effective_dimension=effective_dimension(mean_obs),
+        dependence_caveat=dependence_caveat,
+    )
+
+
 def fit_report(data: DatasetMatrix) -> FitReport:
     """Compare a dataset's pairwise distances to the independent-feature null."""
     if data.rows < 10:
         raise ValueError(f"fit report needs at least 10 rows, got {data.rows}")
     sample = pairwise_distances(data)
     law = DistanceDistribution(float(data.cols))
-    ks = ks_one_sample(sample, law)
-    mean_obs = float(np.mean(sample.values))
-    var_obs = float(np.var(sample.values, ddof=1))
-    return FitReport(
-        k=float(data.cols),
-        n_pairs=sample.n,
-        ks=ks,
-        mean_observed=mean_obs,
-        mean_expected=raw_moment(float(data.cols), 1),
-        variance_observed=var_obs,
-        variance_expected=central_moment(float(data.cols), 2),
-        effective_dimension=effective_dimension(mean_obs),
-        dependence_caveat=True,
-    )
+    return sample_fit_report(sample, law, dependence_caveat=True)
 
 
 @dataclass(frozen=True)

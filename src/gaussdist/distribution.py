@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import _validate_k
 from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
 from .specfun import ConvergenceError, log_gamma, reg_gamma_p, reg_gamma_q
 
@@ -57,10 +58,7 @@ class DistanceDistribution:
     k: float
 
     def __post_init__(self) -> None:
-        k = float(self.k)
-        if not (math.isfinite(k) and k >= 1.0):
-            raise ValueError(f"dimension k must be a finite real >= 1, got {self.k}")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _validate_k(self.k))
 
     # -- closed forms ---------------------------------------------------
 
@@ -177,7 +175,7 @@ class DistanceDistribution:
 
         values = _blocked_draw(n, seed, _SAMPLE_BLOCK, draw, threads)
         return EmpiricalSample(
-            np.sort(values), k=self.k, source=SampleSource.ANALYTIC_SAMPLER, seed=seed
+            values, k=self.k, source=SampleSource.ANALYTIC_SAMPLER, seed=seed
         )
 
 

@@ -48,7 +48,7 @@ class SampleSource(Enum):
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """A sorted collection of non-negative distances with provenance."""
+    """Non-negative distances with provenance, sorted into a read-only copy."""
 
     values: np.ndarray
     k: float
@@ -61,8 +61,7 @@ class EmpiricalSample:
             raise ValueError("sample needs at least one value")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("distances must be finite and non-negative")
-        if np.any(np.diff(values) < 0.0):
-            values = np.sort(values)
+        values = np.sort(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -151,9 +150,7 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
 
     block = max(256, (1 << 21) // ki)
     values = _blocked_draw(n, seed, block, draw, threads)
-    return EmpiricalSample(
-        np.sort(values), k=kf, source=SampleSource.DIRECT_SIMULATION, seed=seed
-    )
+    return EmpiricalSample(values, k=kf, source=SampleSource.DIRECT_SIMULATION, seed=seed)
 
 
 def ecdf(sample: EmpiricalSample, r) -> float | np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdist.cli import PlotSeries, _parse_dataset, _read_sample_file, density_series, main
+from gaussdist.cli import _parse_dataset, _read_sample_file, main
 from gaussdist.diagnostics import FitReport
 
 from _oracles import INV_SQRT_PI, TWO_SQRT_LN2
@@ -425,23 +425,6 @@ class TestTextReaders:
         values, header = _read_sample_file(path)
         assert values.tobytes() == np.asarray(expected).ravel().tobytes()
         assert header == _reference_header(text)
-
-
-class TestPlotSeries:
-    def test_density_series_shape(self):
-        grid = np.linspace(0.0, 5.0, 11)
-        series = density_series(10, grid)
-        assert series.label == "k=10"
-        assert len(series.points) == 11
-        assert all(d >= 0.0 for _, d in series.points)
-
-    def test_rejects_unsorted_points(self):
-        with pytest.raises(ValueError):
-            PlotSeries("k=2", ((1.0, 0.1), (0.5, 0.2)))
-
-    def test_rejects_negative_density(self):
-        with pytest.raises(ValueError):
-            PlotSeries("k=2", ((0.0, 0.1), (1.0, -0.2)))
 
 
 class TestPlotData:
