@@ -1,7 +1,9 @@
 """Command-line surface for the distance-distribution toolkit.
 
 Exit codes: 0 success (and KS pass for `test`), 1 statistical failure,
-2 usage error, 3 I/O or parse error.  Every command is deterministic
+2 usage error (including a dimension k past the point where
+log Gamma(k/2) overflows, about 5.1e305), 3 I/O or parse error, or a
+computation that did not converge.  Every command is deterministic
 given its full argument list; there are no hidden entropy sources and
 results never depend on --threads.
 """
@@ -27,6 +29,7 @@ from .diagnostics import (
 from .distribution import DistanceDistribution
 from .moments import moment_set
 from .montecarlo import EmpiricalSample, SampleSource, simulate_pairs
+from .specfun import ConvergenceError
 
 __all__ = ["main"]
 
@@ -481,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100, help="points per experiment")
     p.add_argument("--seeds", default="20", help="seed count, or comma-separated seeds")
     p.add_argument(
-        "--threads", type=_thread_count, default=1, help="worker cap (>= 1); never changes output"
+        "--threads", type=_thread_count, default=1,
+        help="accepted (>= 1) and has no effect: the experiment runs in one thread",
     )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_contrast)
@@ -500,9 +504,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

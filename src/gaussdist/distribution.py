@@ -12,13 +12,13 @@ far beyond the k where 2^(1-k) or R^(k-1) would over/underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .moments import _validate_k
 from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
-from .specfun import ConvergenceError, log_gamma, reg_gamma_p, reg_gamma_q
+from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
 
 __all__ = ["DistanceDistribution", "pdf_1d"]
 
@@ -56,9 +56,18 @@ class DistanceDistribution:
     """Distance law for a given dimension k (real, >= 1)."""
 
     k: float
+    _log_gamma_half_k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _validate_k(self.k))
+        k = _validate_k(self.k)
+        try:
+            log_gamma_half_k = math.lgamma(k / 2.0)
+        except OverflowError:
+            raise ValueError(
+                f"dimension k is too large: log Gamma(k/2) overflows at k = {k}"
+            ) from None
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_log_gamma_half_k", log_gamma_half_k)
 
     # -- closed forms ---------------------------------------------------
 
@@ -77,7 +86,7 @@ class DistanceDistribution:
                 (1.0 - self.k) * _LN_2
                 - rp**2 / 4.0
                 + (self.k - 1.0) * np.log(rp)
-                - log_gamma(self.k / 2.0)
+                - self._log_gamma_half_k
             )
             out[pos] = np.exp(log_pdf)
         return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -1,11 +1,11 @@
 """Closed-form moments of the distance law.
 
 Raw moments are 2^n Gamma((k+n)/2) / Gamma(k/2); central moments come
-from the binomial expansion over raw moments.  The second central moment
-tends to 1 as k grows while the raw moments grow like powers of k, so
-for large k the naive subtraction 2k - m1^2 cancels catastrophically;
-past k = 64 the variance switches to an asymptotic series whose leading
-term is exactly 1.
+from the binomial expansion over raw moments.  The central moments stay
+O(1) as k grows while the raw moments grow like powers of k, so for
+large k the expansion cancels catastrophically; past k = 64 the variance
+switches to an asymptotic series whose leading term is exactly 1, and
+mu3 and mu4 follow from that series by the chi-law identities.
 """
 
 from __future__ import annotations
@@ -72,12 +72,24 @@ def raw_moment(k: float, n: int) -> float:
     return 2.0**n * gamma_shift_ratio(k / 2.0, n / 2.0)
 
 
-def _variance_large_k(k: float) -> float:
+def _central_moment_large_k(k: float, n: int) -> float:
+    """mu2, mu3 or mu4 from the variance series, with no raw moment of size k.
+
+    With x = k/2 and s the series sum, 1 - mu2 = 4s/x.  The chi
+    identities m3 = (2k + 2) m1 and m4 = 4k(k + 2) reduce the binomial
+    expansions to mu3 = 2 m1 (1 - mu2) and mu4 = -3 mu2^2 + 8 mu2 - 64s.
+    """
     x = k / 2.0
     s = 0.0
     for d in reversed(_VARIANCE_TAIL_COEF):
         s = s / x + d
-    return 1.0 - 4.0 * s / x
+    deficit = 4.0 * s / x
+    mu2 = 1.0 - deficit
+    if n == 2:
+        return mu2
+    if n == 3:
+        return 2.0 * raw_moment(k, 1) * deficit
+    return -3.0 * mu2 * mu2 + 8.0 * mu2 - 64.0 * s
 
 
 def central_moment(k: float, n: int) -> float:
@@ -85,8 +97,8 @@ def central_moment(k: float, n: int) -> float:
     k = _validate_k(k)
     if n not in (2, 3, 4):
         raise ValueError(f"central moments are available for n in 2..4, got {n}")
-    if n == 2 and k > _LARGE_K_VARIANCE:
-        return _variance_large_k(k)
+    if k > _LARGE_K_VARIANCE:
+        return _central_moment_large_k(k, n)
     m1 = raw_moment(k, 1)
     m2 = raw_moment(k, 2)
     if n == 2:

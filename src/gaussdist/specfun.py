@@ -245,46 +245,36 @@ def _lower_series(a, x, config: SpecFunConfig) -> np.ndarray:
 
 
 def _upper_continued_fraction(a, x, config: SpecFunConfig) -> np.ndarray:
-    """Q(a, x) by the Lentz-style continued fraction; requires x >= a + 1."""
-    big = 4.503599627370496e15
-    biginv = 2.220446049250313e-16
+    """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
+
+    Gamma(a, x) e^x x^-a = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with
+    b_i = x + 1 - a + 2i and a_i = -i (i - a) (Thompson & Barnett 1986).
+    Lentz carries the ratios of successive numerators and denominators,
+    which stay O(1), so nothing overflows even where x is near the float
+    limit.  For x >= a + 1, b_i >= 2 (i + 1), and by induction on i both
+    Lentz denominators stay at least b_i / 2, so neither comes near 0.
+    """
     stop = 0.1 * config.rel_tolerance
-    y = np.full_like(x, 1.0 - a)
-    z = x + y + 1.0
-    c = np.zeros_like(x)
-    pkm2 = np.ones_like(x)
-    qkm2 = x.copy()
-    pkm1 = x + 1.0
-    qkm1 = z * x
-    ans = pkm1 / qkm1
-    for _ in range(config.max_iterations):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        nonzero = qk != 0.0
-        ratio = np.where(nonzero, pk / np.where(nonzero, qk, 1.0), ans)
-        delta = np.where(nonzero, np.abs(ans - ratio), np.inf)
-        ans = ratio
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        rescale = np.abs(pk) > big
-        if np.any(rescale):
-            scale = np.where(rescale, biginv, 1.0)
-            pkm2 = pkm2 * scale
-            pkm1 = pkm1 * scale
-            qkm2 = qkm2 * scale
-            qkm1 = qkm1 * scale
-        if np.all(delta <= stop * np.abs(ans)):
+    b = x + (1.0 - a)
+    d = 1.0 / b
+    # The leading term of the fraction is 0, so C starts at infinity.
+    c = np.full_like(x, np.inf)
+    h = d.copy()
+    for i in range(1, config.max_iterations + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if np.all(np.abs(delta - 1.0) <= stop):
             break
     else:
         raise ConvergenceError(
             f"incomplete gamma continued fraction did not converge for a={a} "
             f"within {config.max_iterations} iterations"
         )
-    return ans * _prefactor(a, x)
+    return h * _prefactor(a, x)
 
 
 def _horner(coef, t: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +85,43 @@ class TestEval:
         assert code == 2
         assert "dimension" in err
 
+    def test_non_convergence_is_exit_three(self, capsys):
+        # At k = 1e50 the law is narrower than the spacing of doubles near
+        # its median, so the quantile iteration cannot settle.
+        code, out, err = run(capsys, "eval", "--k", "1e50", "--which", "quantile",
+                             "--at", "0.001")
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_dimension_past_log_gamma_overflow_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--k", "1.7e308", "--which", "pdf", "--at", "1")
+        assert code == 2
+        assert out == "" and "dimension" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_k=st.floats(0.0, math.log(1e6)),
+        which=st.sampled_from(["pdf", "cdf", "survival", "quantile"]),
+        data=st.data(),
+    )
+    def test_any_dimension_and_point_prints_finite_rows(self, log_k, which, data):
+        # k log-uniform over the README's range [1, 1e6]; distances
+        # log-uniform in [1e-300, 1e150], probabilities uniform in [0, 1).
+        if which == "quantile":
+            point = st.floats(0.0, 1.0, exclude_max=True)
+        else:
+            point = st.floats(-300.0, 150.0).map(lambda e: 10.0**e)
+        points = data.draw(st.lists(point, min_size=1, max_size=4))
+        argv = ["eval", "--k", repr(math.exp(log_k)), "--which", which,
+                "--at", ",".join(map(repr, points))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (0, "")
+        rows = [[float(cell) for cell in line.split()] for line in out.getvalue().splitlines()]
+        assert len(rows) == len(points)
+        assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
+
     def test_grid_rows_match_scalar_calls(self, capsys):
         # One array call per grid; iterative lanes may run past their own
         # convergence point, so agreement is to rounding, not bitwise.
@@ -116,6 +156,14 @@ class TestMoments:
     def test_bad_dimension_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "moments", "--k", "0.5")
         assert code == 2
+
+    def test_huge_dimension_has_finite_central_moments(self, capsys):
+        code, out, _ = run(capsys, "moments", "--k", "1e200")
+        assert code == 0
+        header, row = (line.split() for line in out.splitlines())
+        cells = dict(zip(header, map(float, row)))
+        assert all(math.isfinite(cells[key])
+                   for key in ("mu2", "mu3", "mu4", "skewness", "kurtosis"))
 
 
 class TestSample:

@@ -150,6 +150,15 @@ class TestSurvival:
         # 1 - cdf would collapse to 0 here; the direct tail must not.
         assert DistanceDistribution(100).survival(40.0) > 0.0
 
+    @pytest.mark.parametrize("k", [1, 3, 1e4])
+    def test_distances_past_the_fraction_overflow(self, k):
+        # r^2/4 up to 2.5e299: an unnormalized continued-fraction
+        # recurrence overflows there within one step.
+        law = DistanceDistribution(k)
+        rs = np.array([1e55, 1e100, 1e150])
+        assert law.cdf(rs).tolist() == [1.0, 1.0, 1.0]
+        assert law.survival(rs).tolist() == [0.0, 0.0, 0.0]
+
 
 class TestQuantile:
     def test_zero_probability(self):

@@ -107,9 +107,15 @@ class TestCentralMoments:
         mu2 = m[1] - m[0] ** 2
         mu3 = m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
         mu4 = m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
+        # The expansion in doubles carries the raw moments' rounding (up to
+        # ~1e-13 relative on the log-gamma path) times its largest terms;
+        # past k = 64 the library no longer forms it, and
+        # TestLargeKShapeMoments holds mu3 and mu4 to mpmath instead.
+        err3 = 1e-13 * (abs(m[2]) + 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
+        err4 = 1e-13 * (m[3] + 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] + 3.0 * m[0] ** 4)
         assert central_moment(k, 2) == pytest.approx(mu2, rel=1e-9)
-        assert central_moment(k, 3) == pytest.approx(mu3, rel=1e-9)
-        assert central_moment(k, 4) == pytest.approx(mu4, rel=1e-9)
+        assert central_moment(k, 3) == pytest.approx(mu3, rel=1e-9, abs=err3)
+        assert central_moment(k, 4) == pytest.approx(mu4, rel=1e-9, abs=err4)
 
     def test_variance_path_switch_is_seamless(self):
         # The binomial side carries ~1e-10 of log-gamma subtraction noise
@@ -231,3 +237,23 @@ class TestNonIntegerLargeK:
         # The binomial expansion over raw moments of size ~k^2 loses about
         # k^1.5 ulps (5e-9 measured); the inexact offset cost 3e-5.
         assert got == pytest.approx(expected, rel=1e-7)
+
+
+class TestLargeKShapeMoments:
+    @pytest.mark.parametrize("k", [65, 1e3, 1e6, 1e8, 1e12])
+    def test_against_mpmath(self, k):
+        # The binomial expansion over raw moments of size ~k^2 cancels
+        # ~k^1.5 ulps; the chi identities on the variance series do not.
+        with mpmath.workdps(80):
+            half = mpmath.mpf(k) / 2
+            m1, m2, m3, m4 = (
+                2**n * mpmath.exp(mpmath.loggamma(half + mpmath.mpf(n) / 2)
+                                  - mpmath.loggamma(half))
+                for n in range(1, 5)
+            )
+            mu2 = m2 - m1**2
+            mu3 = m3 - 3 * m1 * m2 + 2 * m1**3
+            mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
+            expected = [float(v) for v in (mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
+        got = [central_moment(k, 3), central_moment(k, 4), skewness(k), kurtosis(k)]
+        assert got == pytest.approx(expected, rel=1e-13)
