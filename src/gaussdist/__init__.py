@@ -43,10 +43,7 @@ from .montecarlo import (
     simulate_pairs,
 )
 from .specfun import (
-    DEFAULT_CONFIG,
     ConvergenceError,
-    SpecFunConfig,
-    gamma_ratio,
     gamma_shift_ratio,
     log_gamma,
     reg_gamma_p,
@@ -58,7 +55,6 @@ __all__ = [
     "ContrastRow",
     "ConvergenceError",
     "DatasetMatrix",
-    "DEFAULT_CONFIG",
     "DistanceDistribution",
     "EmpiricalSample",
     "FitReport",
@@ -66,13 +62,11 @@ __all__ = [
     "MomentSet",
     "SampleMoments",
     "SampleSource",
-    "SpecFunConfig",
     "central_moment",
     "distance_pvalue",
     "ecdf",
     "effective_dimension",
     "fit_report",
-    "gamma_ratio",
     "gamma_shift_ratio",
     "ks_one_sample",
     "ks_two_sample",

@@ -12,13 +12,13 @@ far beyond the k where 2^(1-k) or R^(k-1) would over/underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import _validate_k
 from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
-from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
+from .specfun import ConvergenceError, _log_gamma_density, reg_gamma_p, reg_gamma_q
 
 __all__ = ["DistanceDistribution", "pdf_1d"]
 
@@ -56,18 +56,17 @@ class DistanceDistribution:
     """Distance law for a given dimension k (real, >= 1)."""
 
     k: float
-    _log_gamma_half_k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = _validate_k(self.k)
+        # The law's normalizer Gamma(k/2) must have a finite logarithm.
         try:
-            log_gamma_half_k = math.lgamma(k / 2.0)
+            math.lgamma(k / 2.0)
         except OverflowError:
             raise ValueError(
                 f"dimension k is too large: log Gamma(k/2) overflows at k = {k}"
             ) from None
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_log_gamma_half_k", log_gamma_half_k)
 
     # -- closed forms ---------------------------------------------------
 
@@ -82,12 +81,11 @@ class DistanceDistribution:
         pos = work > 0.0
         if np.any(pos):
             rp = work[pos]
-            log_pdf = (
-                (1.0 - self.k) * _LN_2
-                - rp**2 / 4.0
-                + (self.k - 1.0) * np.log(rp)
-                - self._log_gamma_half_k
-            )
+            # pdf(r) = (2/r) g(r^2/4) for the Gamma(k/2) density g.  Its
+            # log x comes from log r, so an r^2/4 that underflows keeps
+            # its density.
+            log_half_r = np.log(rp) - _LN_2
+            log_pdf = _log_gamma_density(0.5 * self.k, rp**2 / 4.0, 2.0 * log_half_r) - log_half_r
             out[pos] = np.exp(log_pdf)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 

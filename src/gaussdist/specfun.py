@@ -1,7 +1,7 @@
 """Special-function kernel: log-gamma, regularized incomplete gamma, gamma ratios.
 
-Everything here is self-contained (numpy only) and accepts scalars or
-arrays.  The incomplete gamma functions split their domain in three:
+Everything here is self-contained (numpy only).  The incomplete gamma
+functions accept a scalar or array x and split their domain in three:
 
 - Temme's uniform asymptotic expansion (DLMF §8.12) for a >= 20 and
   |x - a| < 0.3 a.  That is the bulk, where both iterative methods need
@@ -27,18 +27,14 @@ the Stirling coefficient g_k fixed by cancelling the 1/eta term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpecFunConfig",
-    "DEFAULT_CONFIG",
     "ConvergenceError",
     "log_gamma",
     "reg_gamma_p",
     "reg_gamma_q",
-    "gamma_ratio",
     "gamma_shift_ratio",
 ]
 
@@ -47,25 +43,9 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to reach tolerance within its budget."""
 
 
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Convergence control for the iterative incomplete-gamma evaluations."""
-
-    rel_tolerance: float = 1e-12
-    max_iterations: int = 300
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tolerance < 1e-3:
-            raise ValueError(
-                f"rel_tolerance must lie in (0, 1e-3), got {self.rel_tolerance}"
-            )
-        if self.max_iterations < 50:
-            raise ValueError(
-                f"max_iterations must be at least 50, got {self.max_iterations}"
-            )
-
-
-DEFAULT_CONFIG = SpecFunConfig()
+# Convergence control of the series and the continued fraction.
+_REL_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 300
 
 # Temme's uniform expansion is used for a >= _TEMME_MIN_A and
 # |x - a| < _TEMME_WINDOW * a.  There |eta| < 0.34, so truncating at 20
@@ -169,7 +149,6 @@ _TEMME_COEF = np.array((
 # 1/(2j + 3): u^3 times this series in u^2 is atanh(u) - u, to 1e-17
 # relative for |u| < 0.18, i.e. |sigma| < 0.3.
 _ATANH_COEF = tuple(1.0 / (2 * j + 3) for j in range(11))
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 # Asymptotic expansion Gamma(x + 1/2) / Gamma(x) = sqrt(x) * sum c_i x^-i,
 # derived from the Stirling series; truncation error < 1e-22 relative for
@@ -191,60 +170,89 @@ _HALF_STEP_COEF = (
 )
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+# Stirling series of log Gamma*(a) = log Gamma(a) - (a - 1/2) log a + a
+# - log(2 pi)/2 (DLMF 5.11.1): B_2n / (2n (2n - 1)), the coefficient of
+# a^-(2n-1).  For a >= _STIRLING_MIN_A seven terms leave an error below
+# 3e-17.
+_STIRLING_MIN_A = 10.0
+_STIRLING_COEF = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# exp underflows to 0 below about -745.  The terms added to
+# a (log(x/a) - sigma), the peak (at most 353) and the log(2/r) of a
+# density in r (at most 745), cannot lift this floor past that.  Where
+# log(2x/a) < _LOG_DENSITY_FLOOR/a - 1, a (log(x/a) - sigma) lies below
+# the floor, so clamping log(2x/a) there changes no result and keeps
+# the product with a finite at any accepted a.
+_LOG_DENSITY_FLOOR = -2000.0
 
 
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0.
+def log_gamma(x: float) -> float:
+    """Natural log of the gamma function for a scalar x > 0.
 
-    Accepts a scalar or array; ``math.lgamma`` per element, whose relative
-    error is below 1e-13 for x in [0.5, 1e6] (away from the zeros at
-    x = 1 and x = 2, where the absolute error is at machine level).
+    ``math.lgamma``, whose relative error is below 1e-13 for x in
+    [0.5, 1e6] (away from the zeros at x = 1 and x = 2, where the
+    absolute error is at machine level).
     """
-    arr, scalar = _as_float_array(x)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
         raise ValueError("log_gamma requires finite x > 0")
-    if scalar:
-        return math.lgamma(arr)
-    return _lgamma(arr).astype(float)
+    return math.lgamma(x)
 
 
-def _prefactor(a, x):
-    """x^a e^-x / Gamma(a), evaluated in log space; 0 where x == 0."""
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if np.any(pos):
-        xp = x[pos]
-        out[pos] = np.exp(a * np.log(xp) - xp - log_gamma(a))
-    return out
+def _log_gamma_density(a: float, x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """log(x^a e^-x / Gamma(a)) for x > 0, given log_x = log(x).
+
+    The Stirling-scaled form of DiDonato & Morris (1986),
+    -a (sigma - log1p(sigma)) + log(a / 2 pi)/2 - log Gamma*(a) with
+    sigma = (x - a)/a, cancels the a log(x) and x terms exactly, so the
+    error is that of sigma itself, about sqrt(a) ulps near the peak,
+    instead of a log(x) ulps.  Below x = a/2 sigma has lost the low bits
+    of x/a, so log1p stops at sigma = -1/2 and log(2x/a) < 0 from log_x
+    adds the rest; that also keeps the density of an x that underflows
+    when the caller has its logarithm.
+    """
+    # The value at x = a: log(a/2 pi)/2 - log Gamma*(a) = a log(a) - a - log Gamma(a).
+    if a < _STIRLING_MIN_A:
+        peak = a * math.log(a) - a - math.lgamma(a)
+    else:
+        inv_sq = 1.0 / (a * a)
+        series = 0.0
+        for c in reversed(_STIRLING_COEF):
+            series = series * inv_sq + c
+        peak = 0.5 * math.log(a) - _LN_SQRT_2PI - series / a
+    sigma = (x - a) / a
+    below_half = np.maximum(log_x - math.log(0.5 * a), _LOG_DENSITY_FLOOR / a - 1.0)
+    log_ratio = np.log1p(np.maximum(sigma, -0.5)) + np.minimum(below_half, 0.0)
+    return (log_ratio - sigma) * a + peak
 
 
-def _lower_series(a, x, config: SpecFunConfig) -> np.ndarray:
-    """P(a, x) by the power series; requires x < a + 1 elementwise."""
+def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) by the power series; requires 0 < x < a + 1 elementwise."""
     # The 0.1 factor on the termination tests keeps the final error an
-    # order of magnitude inside rel_tolerance (the stopping increment
+    # order of magnitude inside _REL_TOLERANCE (the stopping increment
     # only bounds the remaining tail up to the contraction ratio).
-    stop = 0.1 * config.rel_tolerance
+    stop = 0.1 * _REL_TOLERANCE
     term = np.ones_like(x)
     total = np.ones_like(x)
-    rate = np.full_like(x, a)
-    for _ in range(config.max_iterations):
+    rate = a
+    for _ in range(_MAX_ITERATIONS):
         rate += 1.0
         term *= x / rate
         total += term
-        if np.all(term <= stop * total):
+        live = term > stop * total
+        if not live.any():
             break
+        # A converged lane adds nothing more, so it ends as a scalar call does.
+        term *= live
     else:
         raise ConvergenceError(
             f"incomplete gamma series did not converge for a={a} "
-            f"within {config.max_iterations} iterations"
+            f"within {_MAX_ITERATIONS} iterations"
         )
-    return total * _prefactor(a, x) / a
+    return total * np.exp(_log_gamma_density(a, x, np.log(x))) / a
 
 
-def _upper_continued_fraction(a, x, config: SpecFunConfig) -> np.ndarray:
+def _upper_continued_fraction(a: float, x: np.ndarray) -> np.ndarray:
     """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
 
     Gamma(a, x) e^x x^-a = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with
@@ -254,34 +262,39 @@ def _upper_continued_fraction(a, x, config: SpecFunConfig) -> np.ndarray:
     limit.  For x >= a + 1, b_i >= 2 (i + 1), and by induction on i both
     Lentz denominators stay at least b_i / 2, so neither comes near 0.
     """
-    stop = 0.1 * config.rel_tolerance
+    stop = 0.1 * _REL_TOLERANCE
     b = x + (1.0 - a)
     d = 1.0 / b
     # The leading term of the fraction is 0, so C starts at infinity.
     c = np.full_like(x, np.inf)
     h = d.copy()
-    for i in range(1, config.max_iterations + 1):
+    done = np.zeros(x.shape, dtype=bool)
+    for i in range(1, _MAX_ITERATIONS + 1):
         an = -i * (i - a)
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
+        # A converged lane keeps its h, so it ends as a scalar call does.
+        delta[done] = 1.0
         h *= delta
-        if np.all(np.abs(delta - 1.0) <= stop):
+        done = np.abs(delta - 1.0) <= stop
+        if done.all():
             break
     else:
         raise ConvergenceError(
             f"incomplete gamma continued fraction did not converge for a={a} "
-            f"within {config.max_iterations} iterations"
+            f"within {_MAX_ITERATIONS} iterations"
         )
-    return h * _prefactor(a, x)
+    return h * np.exp(_log_gamma_density(a, x, np.log(x)))
 
 
 def _horner(coef, t: np.ndarray) -> np.ndarray:
     """sum_n coef[n] t^n, elementwise over t."""
     out = np.full_like(t, coef[-1])
     for c in coef[-2::-1]:
-        out = out * t + c
+        out *= t
+        out += c
     return out
 
 
@@ -326,37 +339,37 @@ def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tail, upper
 
 
-def _reg_gamma_both(a: float, x, config: SpecFunConfig):
-    arr, scalar = _as_float_array(x)
+def _reg_gamma_both(a: float, x):
+    arr = np.asarray(x, dtype=float)
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError("incomplete gamma requires finite a > 0")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("incomplete gamma requires finite x >= 0")
-    work = np.atleast_1d(arr).astype(float)
-    p = np.empty_like(work)
-    q = np.empty_like(work)
+    work = np.atleast_1d(arr)
+    # P(a, 0) = 0 and Q(a, 0) = 1; every other lane is overwritten below.
+    p = np.zeros_like(work)
+    q = np.ones_like(work)
     bulk = (a >= _TEMME_MIN_A) & (np.abs(work - a) < _TEMME_WINDOW * a)
-    lower = ~bulk & (work < a + 1.0)
-    upper = ~bulk & ~lower
+    lower = ~bulk & (work > 0.0) & (work < a + 1.0)
+    upper = ~bulk & (work >= a + 1.0)
     if np.any(bulk):
         tail, is_q = _temme_tail(a, work[bulk])
         p[bulk] = np.where(is_q, 1.0 - tail, tail)
         q[bulk] = np.where(is_q, tail, 1.0 - tail)
     if np.any(lower):
-        pl = _lower_series(a, work[lower], config)
+        pl = _lower_series(a, work[lower])
         p[lower] = pl
         q[lower] = 1.0 - pl
     if np.any(upper):
-        qu = _upper_continued_fraction(a, work[upper], config)
+        qu = _upper_continued_fraction(a, work[upper])
         q[upper] = qu
         p[upper] = 1.0 - qu
-    if scalar:
+    if arr.ndim == 0:
         return float(p[0]), float(q[0])
-    shape = arr.shape
-    return p.reshape(shape), q.reshape(shape)
+    return p.reshape(arr.shape), q.reshape(arr.shape)
 
 
-def reg_gamma_p(a, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def reg_gamma_p(a, x):
     """Regularized lower incomplete gamma P(a, x), in [0, 1].
 
     Computed directly from the power series when x < a + 1 (no
@@ -364,17 +377,17 @@ def reg_gamma_p(a, x, config: SpecFunConfig = DEFAULT_CONFIG):
     otherwise; near the bulk at a >= 20 (|x - a| < 0.3 a) both tails
     come from Temme's expansion.
     """
-    return _reg_gamma_both(a, x, config)[0]
+    return _reg_gamma_both(a, x)[0]
 
 
-def reg_gamma_q(a, x, config: SpecFunConfig = DEFAULT_CONFIG):
+def reg_gamma_q(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a).
 
     Monotone non-increasing in x; evaluated by continued fraction in the
     tail (x >= a + 1) so small survival probabilities keep full relative
     precision.
     """
-    return _reg_gamma_both(a, x, config)[1]
+    return _reg_gamma_both(a, x)[1]
 
 
 def _half_step_ratio(x: float) -> float:
@@ -383,20 +396,6 @@ def _half_step_ratio(x: float) -> float:
     for c in reversed(_HALF_STEP_COEF):
         s = s / x + c
     return math.sqrt(x) * s
-
-
-def gamma_ratio(num: float, den: float) -> float:
-    """Gamma(num) / Gamma(den) without forming either gamma value.
-
-    Reduces to ``gamma_shift_ratio(min, |num - den|)``.  When the offset
-    is known exactly, call ``gamma_shift_ratio`` instead: num - den may
-    round away from an integer or half-integer and leave its exact path.
-    """
-    if not (np.isfinite(num) and np.isfinite(den) and num > 0.0 and den > 0.0):
-        raise ValueError("gamma_ratio requires finite positive arguments")
-    if num < den:
-        return 1.0 / gamma_shift_ratio(num, den - num)
-    return gamma_shift_ratio(den, num - den)
 
 
 def gamma_shift_ratio(x: float, shift: float) -> float:

@@ -107,3 +107,13 @@ def reference_gamma_pq(a, x, digits=50):
             return +p, 1 - p
         q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
         return 1 - q, +q
+
+
+def reference_pdf(k, r, digits=60):
+    """The closed-form density 2^(1-k) e^(-r^2/4) r^(k-1) / Gamma(k/2), in mpmath."""
+    with mpmath.workdps(digits):
+        k, r = mpmath.mpf(k), mpmath.mpf(r)
+        return +mpmath.exp(
+            (1 - k) * mpmath.log(2) - r * r / 4 + (k - 1) * mpmath.log(r)
+            - mpmath.loggamma(k / 2)
+        )

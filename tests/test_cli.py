@@ -86,12 +86,19 @@ class TestEval:
         assert "dimension" in err
 
     def test_non_convergence_is_exit_three(self, capsys):
-        # At k = 1e50 the law is narrower than the spacing of doubles near
-        # its median, so the quantile iteration cannot settle.
-        code, out, err = run(capsys, "eval", "--k", "1e50", "--which", "quantile",
+        # Past k ~ 1e32 the law is narrower than the spacing of doubles near
+        # its median, and at k = 1e45 the quantile iteration cannot settle.
+        code, out, err = run(capsys, "eval", "--k", "1e45", "--which", "quantile",
                              "--at", "0.001")
         assert code == 3
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_large_dimension_quantiles_increase(self, capsys):
+        code, out, err = run(capsys, "eval", "--k", "1e20", "--which", "quantile",
+                             "--at", "0.001,0.5,0.9")
+        assert (code, err) == (0, "")
+        values = [float(line.split()[1]) for line in out.splitlines()]
+        assert len(values) == 3 and values[0] < values[1] < values[2]
 
     def test_dimension_past_log_gamma_overflow_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--k", "1.7e308", "--which", "pdf", "--at", "1")
@@ -100,16 +107,18 @@ class TestEval:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        log_k=st.floats(0.0, math.log(1e6)),
         which=st.sampled_from(["pdf", "cdf", "survival", "quantile"]),
         data=st.data(),
     )
-    def test_any_dimension_and_point_prints_finite_rows(self, log_k, which, data):
-        # k log-uniform over the README's range [1, 1e6]; distances
-        # log-uniform in [1e-300, 1e150], probabilities uniform in [0, 1).
+    def test_any_dimension_and_point_prints_finite_rows(self, which, data):
+        # k log-uniform over the README's ranges, [1, 5e305] and [1, 1e30]
+        # for the quantile; distances log-uniform in [1e-300, 1e150],
+        # probabilities uniform in [0, 1).
         if which == "quantile":
+            log_k = data.draw(st.floats(0.0, math.log(1e30)))
             point = st.floats(0.0, 1.0, exclude_max=True)
         else:
+            log_k = data.draw(st.floats(0.0, math.log(5e305)))
             point = st.floats(-300.0, 150.0).map(lambda e: 10.0**e)
         points = data.draw(st.lists(point, min_size=1, max_size=4))
         argv = ["eval", "--k", repr(math.exp(log_k)), "--which", which,
@@ -121,10 +130,13 @@ class TestEval:
         rows = [[float(cell) for cell in line.split()] for line in out.getvalue().splitlines()]
         assert len(rows) == len(points)
         assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
+        if which == "quantile":
+            values = [value for _, value in sorted(rows)]
+            assert values == sorted(values)
 
     def test_grid_rows_match_scalar_calls(self, capsys):
-        # One array call per grid; iterative lanes may run past their own
-        # convergence point, so agreement is to rounding, not bitwise.
+        # One array call per grid; each iterative lane stops at its own
+        # convergence point, so a row equals the scalar call bit for bit.
         from gaussdist.distribution import DistanceDistribution
 
         law = DistanceDistribution(2000)
@@ -133,7 +145,7 @@ class TestEval:
                             "--grid", "55:75:0.5")
             for line in out.splitlines():
                 x, value = (float(cell) for cell in line.split())
-                assert value == pytest.approx(getattr(law, which)(x), rel=1e-13)
+                assert value == getattr(law, which)(x)
 
 
 class TestMoments:

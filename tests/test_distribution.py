@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +18,7 @@ from _oracles import (
     ks_statistic_against,
     normal_cdf,
     reference_gamma_pq,
+    reference_pdf,
 )
 
 FIG4_SET = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
@@ -58,6 +60,13 @@ class TestPdf:
         r = math.sqrt(2e6)
         value = law.pdf(r)
         assert 0.0 < value < 1.0 and math.isfinite(value)
+
+    @pytest.mark.parametrize("k,r", [(2.0, 1e-300), (1.5, 1e-200), (3.0, 1e-160)])
+    def test_tiny_distance_keeps_its_density(self, k, r):
+        # r^2/4 underflows here.
+        assert DistanceDistribution(k).pdf(r) == pytest.approx(
+            float(reference_pdf(k, r)), rel=1e-12
+        )
 
     @pytest.mark.parametrize("k", FIG4_SET)
     def test_normalizes(self, k):
@@ -196,7 +205,29 @@ class TestQuantile:
 
 
 class TestLargeDimension:
-    """cdf, survival and quantile near the bulk at k up to 1e6."""
+    """pdf, cdf, survival and quantile near the bulk at large k."""
+
+    @pytest.mark.parametrize("k", [2.0, 10.0, 1e3, 1e6, 1e8, 1e12, 1e20])
+    def test_pdf_against_60_digit_closed_form(self, k):
+        # Forming r^2/4 rounds it by an ulp, which moves the density by
+        # about sqrt(k) ulps at a distance O(1) from the mean.
+        with mpmath.workdps(60):
+            half_k = mpmath.mpf(k) / 2
+            m1 = float(2 * mpmath.exp(mpmath.loggamma(half_k + 0.5) - mpmath.loggamma(half_k)))
+        rel = 1e-14 + 4.0 * math.sqrt(k) * np.finfo(float).eps
+        for r in (m1 - 2.0, m1, m1 + 2.0):
+            if r > 0.0:
+                assert DistanceDistribution(k).pdf(r) == pytest.approx(
+                    float(reference_pdf(k, r)), rel=rel
+                )
+
+    @pytest.mark.parametrize("k", [1e8, 1e12, 1e20, 1e30])
+    def test_quantile_monotone_in_p(self, k):
+        law = DistanceDistribution(k)
+        ps = [1e-300, 1e-10, 0.001, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12]
+        values = [law.quantile(p) for p in ps]
+        assert values == sorted(values)
+        assert values[0] < values[-1]
 
     @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
     def test_cdf_and_survival_against_mpmath(self, k):
@@ -209,7 +240,7 @@ class TestLargeDimension:
             assert c == pytest.approx(float(p_ref), rel=1e-12)
             assert s == pytest.approx(float(q_ref), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("k", [1e4, 1e5, 1e6, 1e8])
     def test_quantile_inverts_the_reference_cdf(self, k):
         law = DistanceDistribution(k)
         for p in (0.001, 0.5, 0.999):
