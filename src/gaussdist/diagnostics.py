@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import DistanceDistribution
-from .moments import central_moment, raw_moment
+from .moments import moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     KsResult,
@@ -202,15 +202,16 @@ def sample_fit_report(
     test is indicative rather than exact.
     """
     ks = ks_one_sample(sample, law)
+    moments = moment_set(law.k)
     mean_obs = float(np.mean(sample.values))
     return FitReport(
         k=law.k,
         n_pairs=sample.n,
         ks=ks,
         mean_observed=mean_obs,
-        mean_expected=raw_moment(law.k, 1),
+        mean_expected=moments.raw[0],
         variance_observed=float(np.var(sample.values, ddof=1)),
-        variance_expected=central_moment(law.k, 2),
+        variance_expected=moments.central[0],
         effective_dimension=effective_dimension(mean_obs),
         dependence_caveat=dependence_caveat,
     )

@@ -161,6 +161,10 @@ class DistanceDistribution:
                 candidate = r + step if upper else r - step
             if not lo < candidate < hi:
                 candidate = 0.5 * (lo + hi) if hi < math.inf else 2.0 * r
+                if hi < math.inf and not lo < candidate < hi:
+                    # No double inside the bracket (the law is narrower
+                    # than their spacing past k ~ 1e32): hi is the answer.
+                    return hi
             r = candidate
         if abs(err) <= 1e-10:
             return r

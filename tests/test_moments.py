@@ -96,8 +96,8 @@ class TestCentralMoments:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 15, 30])
     def test_direct_gamma_expressions(self, k):
-        # The binomial route must agree with the direct gamma-function
-        # expressions for mu3 and mu4.
+        # The chi identities on the variance deficit must agree with the
+        # direct gamma-function expressions for mu3 and mu4.
         assert central_moment(k, 3) == pytest.approx(closed_form_mu3(k), rel=1e-10)
         assert central_moment(k, 4) == pytest.approx(closed_form_mu4(k), rel=1e-10)
 
@@ -107,10 +107,10 @@ class TestCentralMoments:
         mu2 = m[1] - m[0] ** 2
         mu3 = m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
         mu4 = m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
-        # The expansion in doubles carries the raw moments' rounding (up to
-        # ~1e-13 relative on the log-gamma path) times its largest terms;
-        # past k = 64 the library no longer forms it, and
-        # TestLargeKShapeMoments holds mu3 and mu4 to mpmath instead.
+        # The binomial expansion over raw moments, formed here in doubles,
+        # carries their rounding (up to ~1e-13 relative on the log-gamma
+        # path) times its largest terms; the library never forms it, and
+        # TestLargeKShapeMoments holds it to mpmath instead.
         err3 = 1e-13 * (m[2] + 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
         err4 = 1e-13 * (m[3] + 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] + 3.0 * m[0] ** 4)
         assert central_moment(k, 2) == pytest.approx(mu2, rel=1e-9)
@@ -118,11 +118,13 @@ class TestCentralMoments:
         assert central_moment(k, 4) == pytest.approx(mu4, rel=1e-9, abs=err4)
 
     def test_variance_path_switch_is_seamless(self):
-        # The binomial side carries ~1e-10 of log-gamma subtraction noise
-        # at the switch point; the series side is exact there.
-        below = central_moment(63.999999, 2)
-        above = central_moment(64.000001, 2)
-        assert above == pytest.approx(below, rel=1e-9)
+        # k = 64 is where the series alone would start; the variance must
+        # be continuous there to rounding.  The neighbours are adjacent
+        # doubles: across [63.999999, 64.000001] the variance itself
+        # changes by 1.2e-10 relative.
+        below = central_moment(math.nextafter(64.0, 0.0), 2)
+        above = central_moment(math.nextafter(64.0, math.inf), 2)
+        assert above == pytest.approx(below, rel=1e-13, abs=0.0)
 
     def test_variance_limit(self):
         assert abs(central_moment(1e4, 2) - 1.0) < 1e-3
@@ -217,33 +219,19 @@ class TestMonteCarloEquivalence:
         )
 
 
-class TestNonIntegerLargeK:
-    def test_higher_moments_against_mpmath(self):
-        # At k = 2046.76, (k + 3)/2 - k/2 rounds below 1.5, so a ratio formed
-        # from the two arguments would leave the exact half-integer path.
-        k = 2046.76
-        assert (k + 3.0) / 2.0 - k / 2.0 != 1.5
-        with mpmath.workdps(50):
-            half = mpmath.mpf(k) / 2
-            m1, m2, m3, m4 = (
-                2**n * mpmath.gamma(half + mpmath.mpf(n) / 2) / mpmath.gamma(half)
-                for n in range(1, 5)
-            )
-            mu2 = m2 - m1**2
-            mu3 = m3 - 3 * m1 * m2 + 2 * m1**3
-            mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
-            expected = [float(v) for v in (mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
-        got = [central_moment(k, 3), central_moment(k, 4), skewness(k), kurtosis(k)]
-        # The binomial expansion over raw moments of size ~k^2 loses about
-        # k^1.5 ulps (5e-9 measured); the inexact offset cost 3e-5.
-        assert got == pytest.approx(expected, rel=1e-7)
-
-
 class TestLargeKShapeMoments:
-    @pytest.mark.parametrize("k", [65, 1e3, 1e6, 1e8, 1e12])
+    @pytest.mark.parametrize(
+        "k",
+        # A binomial expansion over raw moments errs most near 59.575
+        # (1.2e-9); k = 64 is where the series alone would start.  At
+        # 2046.76, (k + 3)/2 - k/2 rounds below 1.5, so a ratio formed
+        # from the two arguments would leave the exact half-integer path.
+        [1, 2.5, 7, 30, 59.575051907747905, 63.999999, 64, 65, 1e3, 2046.76,
+         1e6, 1e8, 1e12],
+    )
     def test_against_mpmath(self, k):
         # The binomial expansion over raw moments of size ~k^2 cancels
-        # ~k^1.5 ulps; the chi identities on the variance series do not.
+        # ~k^1.5 ulps; the chi identities on the variance deficit do not.
         with mpmath.workdps(80):
             half = mpmath.mpf(k) / 2
             m1, m2, m3, m4 = (
@@ -254,6 +242,9 @@ class TestLargeKShapeMoments:
             mu2 = m2 - m1**2
             mu3 = m3 - 3 * m1 * m2 + 2 * m1**3
             mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
-            expected = [float(v) for v in (mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
-        got = [central_moment(k, 3), central_moment(k, 4), skewness(k), kurtosis(k)]
-        assert got == pytest.approx(expected, rel=1e-13)
+            expected = [float(v) for v in (mu2, mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
+        got = [central_moment(k, 2), central_moment(k, 3), central_moment(k, 4),
+               skewness(k), kurtosis(k)]
+        # abs=0: approx's default 1e-12 absolute floor would let a skewness
+        # of 7e-7 (k = 1e12) be off by 1e-6 relative.
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
