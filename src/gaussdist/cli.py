@@ -6,11 +6,16 @@ log Gamma(k/2) overflows, about 5.1e305), 3 I/O or parse error, or a
 computation that did not converge.  Every command is deterministic
 given its full argument list; there are no hidden entropy sources and
 results never depend on --threads.
+
+`main(argv)` returns the exit code and may be called again and again in
+one process.  It builds its argument parser on the first call and reuses
+it; nothing is carried from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -251,7 +256,10 @@ def _cmd_test(args) -> int:
         law = DistanceDistribution(k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = sample_fit_report(sample, law, dependence_caveat=False)
+    try:
+        report = sample_fit_report(sample, law, dependence_caveat=False)
+    except ValueError as exc:
+        raise DataError(f"{args.sample_file}: {exc}") from exc
     payload = report.to_dict()
     for key in (
         "ks_statistic",
@@ -385,7 +393,10 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def _cmd_contrast(args) -> int:
-    ks = [int(k) for k in _parse_float_list(args.k, "k")]
+    values = _parse_float_list(args.k, "k")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"contrast needs finite dimensions, got {args.k!r}")
+    ks = [int(k) for k in values]
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise UsageError("need at least one seed")
@@ -493,10 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then reused.
+
+    Reuse is safe because parse_args makes a fresh Namespace per call and
+    argparse looks up sys.stdout and sys.stderr only when it writes.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -201,6 +201,8 @@ def sample_fit_report(
     dependence_caveat records that the distances share points, so the KS
     test is indicative rather than exact.
     """
+    if sample.n < 2:
+        raise ValueError(f"fit report needs at least 2 distances, got {sample.n}")
     ks = ks_one_sample(sample, law)
     moments = moment_set(law.k)
     mean_obs = float(np.mean(sample.values))

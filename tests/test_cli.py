@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussdist import specfun
+from gaussdist import __version__, cli, specfun
 from gaussdist.cli import _parse_dataset, _read_sample_file, main
 from gaussdist.diagnostics import FitReport
 
@@ -322,6 +322,14 @@ class TestTest:
         assert code == 3
         assert "cannot read" in err
 
+    def test_single_value_is_io_error(self, capsys, tmp_path):
+        # One distance has no sample variance; it is refused, not printed as NaN.
+        path = tmp_path / "one.txt"
+        path.write_text("# k: 2\n1.5\n")
+        code, out, err = run(capsys, "test", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: fit report needs at least 2 distances, got 1\n"
+
     def test_json_written_to_output(self, capsys, tmp_path):
         sample = self.make_sample(tmp_path, 4, 2000, 5)
         out_path = tmp_path / "report.json"
@@ -573,6 +581,12 @@ class TestContrast:
         code, _, _ = run(capsys, "contrast", "--k", "2", "--n", "2", "--seeds", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "1e400", "1,inf"])
+    def test_non_finite_dimension_is_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "contrast", "--k", k, "--n", "5", "--seeds", "1")
+        assert code == 2
+        assert out == "" and err.startswith("usage error: ") and "Traceback" not in err
+
     def test_deterministic_and_thread_invariant(self, tmp_path):
         outputs = []
         for i, threads in enumerate(("1", "1", "4")):
@@ -583,6 +597,169 @@ class TestContrast:
             ) == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+BAD_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1", "0", "", "x")
+
+
+@pytest.fixture(scope="module")
+def command_pools(tmp_path_factory):
+    """Per command: positional tokens, and the value tokens of each flag.
+
+    Sizes stay small: sample draws at most 500 x 1000 doubles, contrast
+    at most 100 x 1000 per seed.
+    """
+    base = tmp_path_factory.mktemp("cli_inputs")
+    rng = np.random.default_rng(5)
+    texts = {
+        "header.txt": "# k: 3\n" + "\n".join(map(repr, 2.0 * np.sqrt(rng.gamma(1.5, size=200)))),
+        "bare.txt": "\n".join(map(repr, 2.0 * np.sqrt(rng.gamma(1.0, size=50)))),
+        "corrupt.txt": "# k: 2\n1.0\nabc\n",
+        "two.txt": "1.0 2.0\n",
+        "badk.txt": "# k: x\n1.0\n",
+        "comments.txt": "# only\n",
+        "table.csv": "\n".join(",".join(map(repr, row)) for row in rng.standard_normal((30, 4))),
+        "header.csv": "a,b\n1,2\n3,5\n4,4\n",
+        "semi.csv": "1;2;3\n4;5;7\n2;2;9\n",
+        "one_row.csv": "1,2,3\n",
+        "constant.csv": "1,1\n1,1\n1,1\n",
+        "ragged.csv": "1,2\n3\n",
+        "empty.csv": "",
+    }
+    for name, text in texts.items():
+        (base / name).write_text(text, encoding="utf-8")
+    (base / "binary.txt").write_bytes(b"\xff\xfe\x00")
+    missing = str(base / "absent")
+    samples = [str(base / n) for n in texts if n.endswith(".txt")]
+    samples += [str(base / "binary.txt"), missing]
+    datasets = [str(base / n) for n in texts if n.endswith(".csv")] + [missing]
+
+    outputs = (str(base / "out.txt"), "/nonexistent/dir/out.txt")
+    threads = ("1", "2", "0", "x")
+    return {
+        "eval": ((), {
+            "--k": ("1", "2.5", "7", "1e20", *BAD_NUMBERS),
+            "--which": ("pdf", "cdf", "survival", "quantile", "bogus"),
+            "--grid": ("0:8:0.25", "0:1:0.5", "1:0:1", "0:1:0", "0:nan:1", "a:b", ""),
+            "--at": ("0.5", "0,0.25,1", ",", "2", *BAD_NUMBERS),
+            "--output": outputs,
+        }),
+        "moments": ((), {
+            "--k": ("1", "1,2,3", "1e200", "0.5", ",", "1,nan", *BAD_NUMBERS),
+            "--output": outputs,
+        }),
+        "sample": ((), {
+            "--k": ("1", "2", "3.5", "1000", *BAD_NUMBERS),
+            "--n": ("1", "10", "500", "0", "-3", "", "x"),
+            "--seed": ("0", "7", "-1", "x"),
+            "--method": ("analytic", "direct", "bogus"),
+            "--threads": threads,
+            "--output": outputs,
+        }),
+        "test": (samples, {
+            "--k": ("1", "3", "20", *BAD_NUMBERS),
+            "--output": outputs,
+        }),
+        "diagnose": (datasets, {
+            "--delimiter": (",", ";", "", "ab", "\n"),
+            "--no-standardize": None,
+            "--output": outputs,
+        }),
+        "plotdata": ((), {
+            "--figure": ("fig2", "fig4", "fig3"),
+            "--output": outputs,
+        }),
+        "contrast": ((), {
+            "--k": ("1", "1,10", "1000", "2.5", ",", "1,inf", *BAD_NUMBERS),
+            "--n": ("3", "30", "100", "2", "-1", "x"),
+            "--seeds": ("1", "3", "7,9", "0", "", ",", "-1", "1,-2", "x"),
+            "--threads": threads,
+            "--output": outputs,
+        }),
+    }
+
+
+@st.composite
+def command_lines(draw, pools):
+    """argv for one command: known flags in any order and spelling, some
+    required ones left out, a stray unknown flag now and then."""
+    if draw(st.integers(0, 30)) == 0:
+        return draw(st.sampled_from([[], ["frob"], ["--version"], ["-h"], ["--bogus"]]))
+    command = draw(st.sampled_from(sorted(pools)))
+    positional, flags = pools[command]
+    argv = [command]
+    if positional:
+        argv.append(draw(st.sampled_from(positional)))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        if flags[flag] is None:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(flags[flag]))
+        argv.extend([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--k"])))
+    return argv
+
+
+class TestAnyCommand:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_every_failure_maps_to_its_exit_code(self, command_pools, data):
+        # All draws share one process and so one parser.
+        argv = data.draw(command_lines(command_pools))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        allowed = {0, 1, 2, 3} if argv[:1] == ["test"] else {0, 2, 3}
+        assert code in allowed, (argv, code, err.getvalue())
+        if code == 0:
+            assert err.getvalue() == "", argv
+
+
+class TestParserReuse:
+    def test_failed_calls_leave_no_state(self, capsys, monkeypatch, tmp_path):
+        build, builds = cli.build_parser, []
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        table = ("eval", "--k", "7", "--which", "pdf", "--grid", "0:8:0.25")
+        code, first, err = run(capsys, *table)
+        assert (code, err) == (0, "") and first
+
+        bogus = ["eval", "--k", "2", "--which", "bogus", "--at", "1"]
+        with pytest.raises(SystemExit):
+            build().parse_args(bogus)
+        fresh_rejection = capsys.readouterr().err
+        code, out, err = run(capsys, *bogus)
+        assert (code, out, err) == (2, "", fresh_rejection)
+        assert err.startswith("usage: gaussdist eval") and "'bogus'" in err
+
+        code, out, err = run(capsys, "eval", "--k", "2", "--which", "pdf")
+        assert (code, out) == (2, "")
+        assert err == "usage error: eval needs --grid start:stop:step or --at v1,v2,...\n"
+
+        missing = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "test", str(missing), "--k", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {missing}") and err.count("\n") == 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "_MAX_ITERATIONS", 5)
+            code, out, err = run(capsys, "eval", "--k", "3", "--which", "cdf", "--at", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: incomplete gamma") and err.count("\n") == 1
+
+        assert run(capsys, "--version") == (0, __version__ + "\n", "")
+
+        assert run(capsys, *table) == (0, first, "")
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestEntryPoint:

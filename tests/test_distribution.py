@@ -65,7 +65,7 @@ class TestPdf:
     def test_tiny_distance_keeps_its_density(self, k, r):
         # r^2/4 underflows here.
         assert DistanceDistribution(k).pdf(r) == pytest.approx(
-            float(reference_pdf(k, r)), rel=1e-12
+            float(reference_pdf(k, r)), rel=1e-12, abs=0
         )
 
     @pytest.mark.parametrize("k", FIG4_SET)
