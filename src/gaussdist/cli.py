@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and KS pass for `test`), 1 statistical failure,
 2 usage error (including a dimension k past the point where
-log Gamma(k/2) overflows, about 5.1e305), 3 I/O or parse error, or a
-computation that did not converge.  Every command is deterministic
-given its full argument list; there are no hidden entropy sources and
-results never depend on --threads.
+log Gamma(k/2) overflows, about 5.1e305, and a fractional `contrast`
+dimension), 3 I/O or parse error, a computation that did not converge,
+or an allocation that failed (numpy's MemoryError).  Every command is
+deterministic given its full argument list; there are no hidden entropy
+sources and results never depend on --threads.
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses
@@ -393,27 +394,26 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def _cmd_contrast(args) -> int:
-    values = _parse_float_list(args.k, "k")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"contrast needs finite dimensions, got {args.k!r}")
-    ks = [int(k) for k in values]
+    ks = _parse_float_list(args.k, "k")
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise UsageError("need at least one seed")
     lines = ["# columns: k seed d_max d_min contrast"]
-    totals = {k: 0.0 for k in ks}
+    totals: dict[int, float] = {}
     try:
         for seed in seeds:
-            for row in relative_contrast_curve(ks, args.n, seed):
-                totals[row.k] += row.contrast
+            rows = relative_contrast_curve(ks, args.n, seed)
+            for row in rows:
+                totals[row.k] = totals.get(row.k, 0.0) + row.contrast
                 lines.append(
                     f"{row.k} {seed} {_fmt(row.d_max)} {_fmt(row.d_min)} {_fmt(row.contrast)}"
                 )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines.append("# mean contrast per k")
-    for k in ks:
-        lines.append(f"mean {k} {_fmt(totals[k] / len(seeds))}")
+    # Every seed's rows list the dimensions of --k in order.
+    for row in rows:
+        lines.append(f"mean {row.k} {_fmt(totals[row.k] / len(seeds))}")
     _write_lines(args.output, lines)
     return 0
 
@@ -524,6 +524,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ConvergenceError, OSError) as exc:
+    except (DataError, ConvergenceError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,9 +21,11 @@ from .montecarlo import (
     EmpiricalSample,
     KsResult,
     SampleSource,
+    _integer_dimension,
     _substream,
     ks_one_sample,
 )
+from .specfun import _variance_deficit
 
 __all__ = [
     "DatasetMatrix",
@@ -121,26 +123,25 @@ def distance_pvalue(dist: DistanceDistribution, observed: float, tail: str) -> f
 def effective_dimension(mean_distance: float) -> float:
     """The real dimension whose theoretical mean distance matches the input.
 
-    Inverts the first raw moment, which is strictly increasing in k, by
-    bisection; clamped at 1 when the observed mean is below the k = 1
-    mean.
+    Solves m1^2 = 2k - 1 + delta(k/2), delta = 1 - mu2, by the fixed point
+    k <- (m^2 + 1 - delta(k/2))/2, whose slope is at most 0.118 (at k = 1):
+    from delta = 0, k falls to the root and repeats within 18 steps.
+    Clamped at 1 below the k = 1 mean; a mean whose square overflows is
+    a ValueError.
     """
     if not (math.isfinite(mean_distance) and mean_distance >= 0.0):
         raise ValueError("mean distance must be finite and non-negative")
     if mean_distance <= raw_moment(1.0, 1):
         return 1.0
-    lo, hi = 1.0, max(2.0, mean_distance**2)
-    while raw_moment(hi, 1) < mean_distance:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if raw_moment(mid, 1) < mean_distance:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
+    top = mean_distance * mean_distance + 1.0
+    if top == math.inf:
+        raise ValueError(f"mean distance {mean_distance} is too large: its square overflows")
+    k = 0.5 * top
+    for _ in range(40):
+        k, last = 0.5 * (top - _variance_deficit(0.5 * k)), k
+        if k == last:
             break
-    return 0.5 * (lo + hi)
+    return k
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,8 @@ def sample_fit_report(
     ks = ks_one_sample(sample, law)
     moments = moment_set(law.k)
     mean_obs = float(np.mean(sample.values))
+    # First, so a mean too large for any dimension fails before the variance.
+    k_eff = effective_dimension(mean_obs)
     return FitReport(
         k=law.k,
         n_pairs=sample.n,
@@ -214,7 +217,7 @@ def sample_fit_report(
         mean_expected=moments.raw[0],
         variance_observed=float(np.var(sample.values, ddof=1)),
         variance_expected=moments.central[0],
-        effective_dimension=effective_dimension(mean_obs),
+        effective_dimension=k_eff,
         dependence_caveat=dependence_caveat,
     )
 
@@ -243,15 +246,14 @@ def relative_contrast_curve(
 ) -> list[ContrastRow]:
     """Nearest/farthest neighbor contrast of a random query, per dimension.
 
-    For each k, simulates n_points standard normal points plus one query
-    point and reports (Dmax - Dmin) / Dmin.  Rows are deterministic per
-    (seed, k), so repeating a k with the same seed repeats its row.
+    For each whole k >= 1, simulates n_points standard normal points plus
+    one query point and reports (Dmax - Dmin) / Dmin.  Rows are
+    deterministic per (seed, k), so repeating a k with the same seed
+    repeats its row.
     """
-    ks = [int(k) for k in k_values]
+    ks = [_integer_dimension(k) for k in k_values]
     if not ks:
         raise ValueError("need at least one dimension")
-    if any(k < 1 for k in ks):
-        raise ValueError("dimensions must be >= 1")
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
     rows = []

@@ -39,6 +39,12 @@ def _validate_r(r) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _quarter_square(r: np.ndarray) -> np.ndarray:
+    """r^2/4, the gamma variate; +inf past r ~ 1.34e154, where r^2 overflows."""
+    with np.errstate(over="ignore"):
+        return r**2 / 4.0
+
+
 def _normal_tail_quantile(t: float) -> float:
     """The z >= 0 with standard-normal upper tail t, for 0 < t <= 1/2.
 
@@ -74,31 +80,33 @@ class DistanceDistribution:
         """Density at r; the r = 0 limit is 1/sqrt(pi) for k = 1, else 0."""
         arr, scalar = _validate_r(r)
         if self.k == 1.0:
-            out = np.exp(-(arr**2) / 4.0) / _SQRT_PI
+            out = np.exp(-_quarter_square(arr)) / _SQRT_PI
             return float(out) if scalar else out
         work = np.atleast_1d(arr)
+        x = _quarter_square(work)
         out = np.zeros_like(work)
-        pos = work > 0.0
+        # Where x overflows, the density has long underflowed to 0.
+        pos = (work > 0.0) & (x < np.inf)
         if np.any(pos):
             rp = work[pos]
             # pdf(r) = (2/r) g(r^2/4) for the Gamma(k/2) density g.  Its
             # log x comes from log r, so an r^2/4 that underflows keeps
             # its density.
             log_half_r = np.log(rp) - _LN_2
-            log_pdf = _log_gamma_density(0.5 * self.k, rp**2 / 4.0, 2.0 * log_half_r) - log_half_r
+            log_pdf = _log_gamma_density(0.5 * self.k, x[pos], 2.0 * log_half_r) - log_half_r
             out[pos] = np.exp(log_pdf)
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def cdf(self, r):
         """Probability that the distance is at most r."""
         arr, scalar = _validate_r(r)
-        out = reg_gamma_p(self.k / 2.0, arr**2 / 4.0)
+        out = reg_gamma_p(self.k / 2.0, _quarter_square(arr))
         return out if scalar else np.asarray(out)
 
     def survival(self, r):
         """Upper-tail probability, computed directly (not as 1 - cdf)."""
         arr, scalar = _validate_r(r)
-        out = reg_gamma_q(self.k / 2.0, arr**2 / 4.0)
+        out = reg_gamma_q(self.k / 2.0, _quarter_square(arr))
         return out if scalar else np.asarray(out)
 
     # -- inversion and sampling -----------------------------------------

@@ -2,9 +2,11 @@
 
 Raw moments are 2^n Gamma((k+n)/2) / Gamma(k/2).  The central moments
 stay O(1) while the raw moments grow like powers of k, so they are not
-formed from raw moments: 1 - mu2 comes from an asymptotic series carried
-down by an exact recurrence, and mu3 and mu4 follow by the chi-law
-identities, within 1e-13 relative of 80-digit mpmath for k in [1, 1e12].
+formed from raw moments: they follow from the variance deficit
+delta = 1 - mu2 (``specfun._variance_deficit``) by the chi-law
+identities, and m1 and m3 rest on delta too.  Against 80-digit mpmath
+for k in [1, 1e12], m1..m4 and mu2 are within 2.1e-16 relative, mu4 and
+kurtosis within 4.4e-15, mu3 and skewness within 6.3e-15.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import gamma_shift_ratio
+from .specfun import _variance_deficit, gamma_shift_ratio
 
 __all__ = [
     "MomentSet",
@@ -22,24 +24,6 @@ __all__ = [
     "kurtosis",
     "moment_set",
 ]
-
-# Coefficients of (Gamma(x+1/2)/Gamma(x))^2 / x = 1 + sum_{i>=1} d_i x^-i,
-# from squaring the half-integer Stirling ratio series.  The variance is
-# 2k - 4x(1 + sum d_i x^-i) with x = k/2, i.e. 1 - 4 sum_{i>=2} d_i x^(1-i)
-# since d_1 = -1/4.  Listed are d_2..d_10 as exact rationals: 1/32, 1/128,
-# -5/2048, -23/8192, 53/65536, 593/262144, -5165/8388608, -110123/33554432,
-# 231743/268435456.  Truncation error < 1e-17 absolute for x > 32.
-_VARIANCE_TAIL_COEF = (
-    0.03125,
-    0.0078125,
-    -0.00244140625,
-    -0.0028076171875,
-    0.00080871582031250,
-    0.0022621154785156250,
-    -0.000615715980529785156,
-    -0.0032819211483001709,
-    0.000863309949636459351,
-)
 
 
 def _validate_k(k: float) -> float:
@@ -67,23 +51,6 @@ def raw_moment(k: float, n: int) -> float:
         raise ValueError(f"moment order must be an integer >= 1, got {n}")
     n = int(n)
     return 2.0**n * gamma_shift_ratio(k / 2.0, n / 2.0)
-
-
-def _variance_deficit(x: float) -> float:
-    """1 - mu2 at x = k/2: 4s/x for the series sum s at x + n > 32, then
-    delta(x) = (delta(x + 1) + 1/(4x^2)) / (1 + 1/(2x))^2 down to x, exact
-    by Gamma(x + 1) = x Gamma(x) and adding only positive terms.
-    """
-    n = 0 if x > 32.0 else math.floor(32.0 - x) + 1
-    top = x + n
-    s = 0.0
-    for d in reversed(_VARIANCE_TAIL_COEF):
-        s = s / top + d
-    deficit = 4.0 * s / top
-    for i in range(n - 1, -1, -1):
-        y = x + i
-        deficit = (deficit + 0.25 / (y * y)) / (1.0 + 0.5 / y) ** 2
-    return deficit
 
 
 def central_moment(k: float, n: int) -> float:

@@ -101,6 +101,14 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _integer_dimension(k) -> int:
+    """k as an int; simulating points has no meaning in fractional dimensions."""
+    kf = float(k)
+    if not (math.isfinite(kf) and kf >= 1 and kf == int(kf)):
+        raise ValueError(f"simulating points needs an integer dimension k >= 1, got {k}")
+    return int(kf)
+
+
 def _blocked_draw(
     n: int,
     seed: int,
@@ -135,10 +143,7 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
     fractional dimensions.  Deterministic for fixed (k, n, seed),
     regardless of thread count.
     """
-    kf = float(k)
-    if not (np.isfinite(kf) and kf >= 1 and kf == int(kf)):
-        raise ValueError(f"simulate_pairs needs an integer dimension k >= 1, got {k}")
-    ki = int(kf)
+    ki = _integer_dimension(k)
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = _check_seed(seed)
@@ -150,7 +155,7 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
 
     block = max(256, (1 << 21) // ki)
     values = _blocked_draw(n, seed, block, draw, threads)
-    return EmpiricalSample(values, k=kf, source=SampleSource.DIRECT_SIMULATION, seed=seed)
+    return EmpiricalSample(values, k=float(ki), source=SampleSource.DIRECT_SIMULATION, seed=seed)
 
 
 def ecdf(sample: EmpiricalSample, r) -> float | np.ndarray:

@@ -1,7 +1,8 @@
 """Special-function kernel: log-gamma, regularized incomplete gamma, gamma ratios.
 
 Everything here is self-contained (numpy only).  The incomplete gamma
-functions accept a scalar or array x and split their domain in three:
+functions accept a scalar or array x >= 0, x = +inf included, and split
+their domain in three:
 
 - Temme's uniform asymptotic expansion (DLMF §8.12) for a >= 20 and
   |x - a| < 0.3 a.  That is the bulk, where both iterative methods need
@@ -22,6 +23,10 @@ c_0 = 1/(lambda - 1) - 1/eta; the recurrence
 c_k = c_{k-1}'(eta)/eta + (-1)^k g_k/(lambda - 1) gives the rest, with
 the Stirling coefficient g_k fixed by cancelling the 1/eta term.
 ``tests/test_specfun.py`` regenerates the table and checks every entry.
+
+Gamma(x + 1/2)/Gamma(x) has one rule, sqrt(x - 1/4 + delta(x)/4), from
+the variance deficit delta = 1 - mu2 of the chi law at k = 2x
+(``_variance_deficit``), on which ``moments`` builds too.
 """
 
 from __future__ import annotations
@@ -150,23 +155,21 @@ _TEMME_COEF = np.array((
 # relative for |u| < 0.18, i.e. |sigma| < 0.3.
 _ATANH_COEF = tuple(1.0 / (2 * j + 3) for j in range(11))
 
-# Asymptotic expansion Gamma(x + 1/2) / Gamma(x) = sqrt(x) * sum c_i x^-i,
-# derived from the Stirling series; truncation error < 1e-22 relative for
-# x > 64.  Exact rationals: 1, -1/8, 1/128, 5/1024, -21/32768, -399/262144,
-# 869/4194304, 39325/33554432, -334477/2147483648, -28717403/17179869184,
-# 59697183/274877906944.
-_HALF_STEP_COEF = (
-    1.0,
-    -0.125,
+# (Gamma(x+1/2)/Gamma(x))^2 / x = 1 + sum_{i>=1} d_i x^-i, the squared
+# Stirling ratio series, so the chi variance at k = 2x is 2k - 4x(1 + ...)
+# = 1 - 4 sum_{i>=2} d_i x^(1-i) (d_1 = -1/4).  d_2..d_10 are 1/32, 1/128,
+# -5/2048, -23/8192, 53/65536, 593/262144, -5165/8388608,
+# -110123/33554432, 231743/268435456; truncation error < 1e-17 for x > 32.
+_VARIANCE_TAIL_COEF = (
+    0.03125,
     0.0078125,
-    0.0048828125,
-    -0.000640869140625,
-    -0.001522064208984375,
-    0.0002071857452392578,
-    0.0011719763278961182,
-    -0.00015575299039483070,
-    -0.0016715728561393917,
-    0.00021717708659707569,
+    -0.00244140625,
+    -0.0028076171875,
+    0.00080871582031250,
+    0.0022621154785156250,
+    -0.000615715980529785156,
+    -0.0032819211483001709,
+    0.000863309949636459351,
 )
 
 
@@ -343,15 +346,16 @@ def _reg_gamma_both(a: float, x):
     arr = np.asarray(x, dtype=float)
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError("incomplete gamma requires finite a > 0")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("incomplete gamma requires finite x >= 0")
+    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+        raise ValueError("incomplete gamma requires x >= 0")
     work = np.atleast_1d(arr)
-    # P(a, 0) = 0 and Q(a, 0) = 1; every other lane is overwritten below.
-    p = np.zeros_like(work)
-    q = np.ones_like(work)
+    # P(a, 0) = 0, Q(a, 0) = 1, P(a, inf) = 1 and Q(a, inf) = 0; every
+    # other lane is overwritten below.
+    p = (work == np.inf).astype(float)
+    q = 1.0 - p
     bulk = (a >= _TEMME_MIN_A) & (np.abs(work - a) < _TEMME_WINDOW * a)
     lower = ~bulk & (work > 0.0) & (work < a + 1.0)
-    upper = ~bulk & (work >= a + 1.0)
+    upper = ~bulk & (work >= a + 1.0) & (work < np.inf)
     if np.any(bulk):
         tail, is_q = _temme_tail(a, work[bulk])
         p[bulk] = np.where(is_q, 1.0 - tail, tail)
@@ -390,12 +394,23 @@ def reg_gamma_q(a, x):
     return _reg_gamma_both(a, x)[1]
 
 
-def _half_step_ratio(x: float) -> float:
-    """Gamma(x + 1/2) / Gamma(x) by asymptotic series, for x > 64."""
+def _variance_deficit(x: float) -> float:
+    """delta(x) = 1 - mu2, the variance deficit of the chi law at k = 2x.
+
+    4s/x for the series sum s at x + n > 32, then
+    delta(x) = (delta(x + 1) + 1/(4x^2)) / (1 + 1/(2x))^2 down to x, exact
+    by Gamma(x + 1) = x Gamma(x) and adding only positive terms.
+    """
+    n = 0 if x > 32.0 else math.floor(32.0 - x) + 1
+    top = x + n
     s = 0.0
-    for c in reversed(_HALF_STEP_COEF):
-        s = s / x + c
-    return math.sqrt(x) * s
+    for d in reversed(_VARIANCE_TAIL_COEF):
+        s = s / top + d
+    deficit = 4.0 * s / top
+    for i in range(n - 1, -1, -1):
+        y = x + i
+        deficit = (deficit + 0.25 / (y * y)) / (1.0 + 0.5 / y) ** 2
+    return deficit
 
 
 def gamma_shift_ratio(x: float, shift: float) -> float:
@@ -403,10 +418,11 @@ def gamma_shift_ratio(x: float, shift: float) -> float:
 
     The integer part of the shift is reduced exactly through the
     recurrence Gamma(z + 1) = z Gamma(z), so ratios like
-    Gamma(x + 1)/Gamma(x) are exact at any magnitude.  A remaining
-    half-integer shift uses the asymptotic series when x is large
-    (x > 64); everything else falls back to
-    exp(log_gamma(x + frac) - log_gamma(x)).
+    Gamma(x + 1)/Gamma(x) are exact at any magnitude.  A remaining half
+    step at x >= 1/2 is sqrt(x - 1/4 + delta(x)/4), the chi identity
+    m1^2 = 2k - 1 + delta at k = 2x, in which nothing cancels.  Below
+    x = 1/2, where 4x - 1 + delta does cancel, and for any other
+    fraction it is exp(log_gamma(x + frac) - log_gamma(x)).
     """
     if not (np.isfinite(x) and np.isfinite(shift) and x > 0.0 and shift >= 0.0):
         raise ValueError("gamma_shift_ratio requires finite x > 0 and shift >= 0")
@@ -414,8 +430,8 @@ def gamma_shift_ratio(x: float, shift: float) -> float:
     frac = shift - steps
     if frac == 0.0:
         base = 1.0
-    elif frac == 0.5 and x > 64.0:
-        base = _half_step_ratio(x)
+    elif frac == 0.5 and x >= 0.5:
+        base = math.sqrt(x - 0.25 + 0.25 * _variance_deficit(x))
     else:
         base = math.exp(log_gamma(x + frac) - log_gamma(x))
     result = base

@@ -53,6 +53,11 @@ class TestEval:
         values = [float(line.split()[1]) for line in lines]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("which,value", [("pdf", 0.0), ("cdf", 1.0), ("survival", 0.0)])
+    def test_distance_whose_square_overflows(self, capsys, which, value):
+        code, out, err = run(capsys, "eval", "--k", "3", "--which", which, "--at", "1e200")
+        assert (code, out, err) == (0, f"1e+200 {value}\n", "")
+
     def test_rows_round_trip_through_repr(self, capsys):
         _, out, _ = run(capsys, "eval", "--k", "7", "--which", "pdf", "--grid", "0:8:0.25")
         from gaussdist.distribution import DistanceDistribution
@@ -288,6 +293,15 @@ class TestTest:
         code, _, err = run(capsys, "test", str(path), "--k", "2")
         assert code == 3
         assert "finite" in err
+
+    def test_mean_too_large_for_any_dimension_is_one_error_line(self, capsys, tmp_path):
+        # The law takes these distances (cdf 1), but no dimension has
+        # their mean: its square overflows.
+        path = tmp_path / "huge.txt"
+        path.write_text("1e200\n2e200\n3e200\n")
+        code, out, err = run(capsys, "test", str(path), "--k", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: mean distance") and err.count("\n") == 1
 
     def test_two_numbers_on_a_line_name_the_line(self, capsys, tmp_path):
         # Every line holds two numbers, so numpy's reader parses a clean
@@ -587,6 +601,12 @@ class TestContrast:
         assert code == 2
         assert out == "" and err.startswith("usage error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("k", ["2.5", "1,2.5", "0.5"])
+    def test_fractional_dimension_is_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "contrast", "--k", k, "--n", "5", "--seeds", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and "integer dimension" in err
+
     def test_deterministic_and_thread_invariant(self, tmp_path):
         outputs = []
         for i, threads in enumerate(("1", "1", "4")):
@@ -760,6 +780,27 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+class TestAllocationFailure:
+    """A MemoryError from a large --k exits 3 with numpy's message."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("simulate_pairs", ["sample", "--k", "100000000", "--n", "1000", "--method", "direct"]),
+            ("relative_contrast_curve", ["contrast", "--k", "10000000", "--n", "100", "--seeds", "1"]),
+        ],
+    )
+    def test_numpy_refusal_is_one_error_line(self, capsys, monkeypatch, name, argv):
+        # Stands in for numpy refusing a large --k; nothing is allocated.
+        message = "Unable to allocate 7.45 GiB for an array with shape (100, 10000000)"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, refuse)
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 class TestEntryPoint:

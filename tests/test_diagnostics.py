@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -151,9 +152,16 @@ class TestDistancePvalue:
 
 
 class TestEffectiveDimension:
-    @pytest.mark.parametrize("k", [1.0, 2.5, 7.0, 50.0, 400.0])
+    @pytest.mark.parametrize(
+        "k", [1.0, 1.0000001, 1.01, 2.5, 7.0, 50.0, 400.0, 1e6, 1e12, 1e300]
+    )
     def test_inverts_the_mean(self, k):
-        assert effective_dimension(raw_moment(k, 1)) == pytest.approx(k, rel=1e-6)
+        mean = raw_moment(k, 1)
+        found = effective_dimension(mean)
+        with mpmath.workdps(40 + int(math.log10(k))):
+            half = mpmath.mpf(found) / 2
+            mean_at_found = 2 * mpmath.exp(mpmath.loggamma(half + 0.5) - mpmath.loggamma(half))
+        assert float(mean_at_found) == pytest.approx(mean, rel=1e-15, abs=0.0)
 
     def test_clamps_at_one(self):
         assert effective_dimension(0.3) == 1.0
@@ -161,6 +169,11 @@ class TestEffectiveDimension:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             effective_dimension(-1.0)
+
+    @pytest.mark.parametrize("mean", [1.35e154, 1e200, 1.7e308])
+    def test_rejects_a_mean_whose_square_overflows(self, mean):
+        with pytest.raises(ValueError, match="too large"):
+            effective_dimension(mean)
 
 
 class TestFitReport:

@@ -169,6 +169,29 @@ class TestSurvival:
         assert law.survival(rs).tolist() == [0.0, 0.0, 0.0]
 
 
+class TestPastTheSquareOverflow:
+    # Past r ~ 1.34e154 r^2/4 overflows; the law there is 0 density and
+    # all of its mass, with no numpy warning (warnings fail the suite).
+    RS = [1.35e154, 1e200, 1.7e308]
+
+    @pytest.mark.parametrize("k", [1, 3, 1e4, 1e300])
+    def test_limits(self, k):
+        law = DistanceDistribution(k)
+        rs = np.array(self.RS)
+        assert law.pdf(rs).tolist() == [0.0] * 3
+        assert law.cdf(rs).tolist() == [1.0] * 3
+        assert law.survival(rs).tolist() == [0.0] * 3
+        assert (law.pdf(1e200), law.cdf(1e200), law.survival(1e200)) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 1e4, 1e300])
+    def test_leaves_the_other_lanes_alone(self, k):
+        law = DistanceDistribution(k)
+        near = [0.0, 1.0, math.sqrt(2.0 * k), 1e150]
+        for which in (law.pdf, law.cdf, law.survival):
+            mixed = which(np.array(near + self.RS))
+            assert mixed[:4].tolist() == which(np.array(near)).tolist()
+
+
 class TestQuantile:
     def test_zero_probability(self):
         assert DistanceDistribution(7).quantile(0.0) == 0.0

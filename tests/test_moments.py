@@ -242,9 +242,13 @@ class TestLargeKShapeMoments:
             mu2 = m2 - m1**2
             mu3 = m3 - 3 * m1 * m2 + 2 * m1**3
             mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
+            odd = [float(m1), float(m3)]
             expected = [float(v) for v in (mu2, mu3, mu4, mu3 / mu2**1.5, mu4 / mu2**2)]
+        # The half-step ratio behind m1 and m3 is formed from the variance
+        # deficit, so it is good to an ulp or two at every k.
+        assert [raw_moment(k, 1), raw_moment(k, 3)] == pytest.approx(odd, rel=1e-15, abs=0.0)
         got = [central_moment(k, 2), central_moment(k, 3), central_moment(k, 4),
                skewness(k), kurtosis(k)]
         # abs=0: approx's default 1e-12 absolute floor would let a skewness
         # of 7e-7 (k = 1e12) be off by 1e-6 relative.
-        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -106,7 +107,17 @@ class TestRegularizedGamma:
         q = reg_gamma_q(50.0, 400.0)
         assert q == pytest.approx(1.1366407840501794e-109, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1)])
+    @pytest.mark.parametrize("a", [0.5, 2.5, 50.0, 1e300])
+    def test_limits_at_infinity(self, a):
+        assert (reg_gamma_p(a, math.inf), reg_gamma_q(a, math.inf)) == (1.0, 0.0)
+        p = reg_gamma_p(a, np.array([0.0, math.inf, a]))
+        q = reg_gamma_q(a, np.array([0.0, math.inf, a]))
+        assert p[:2].tolist() == [0.0, 1.0] and q[:2].tolist() == [1.0, 0.0]
+        assert (p[2], q[2]) == (reg_gamma_p(a, a), reg_gamma_q(a, a))
+
+    @pytest.mark.parametrize(
+        "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (1.0, math.nan), (1.0, -math.inf)]
+    )
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_gamma_p(a, x)
@@ -214,12 +225,19 @@ class TestGammaRatio:
             assert gamma_shift_ratio(x, 1.0) == x
         assert gamma_shift_ratio(1.5, 2.0) == 1.5 * 2.5
 
-    def test_asymptotic_half_step_path(self):
-        # x > 64 switches to the series; compare with log-gamma route
-        # computed by scipy, which keeps ~1e-11 here.
-        for x in (64.5, 100.0, 1000.0):
-            ref = math.exp(gammaln(x + 0.5) - gammaln(x))
-            assert gamma_shift_ratio(x, 0.5) == pytest.approx(ref, rel=1e-11)
+    def test_half_step_against_mpmath(self):
+        # sqrt(x - 1/4 + delta(x)/4) at every x >= 1/2: one rule on both
+        # sides of the variance series' x = 32, with nothing to cancel.
+        xs = [0.5, 1.0, 31.999, 32.0, 32.5, 64.0, 64.5, 1e6]
+        xs += np.geomspace(0.5, 1e6, 200).tolist()
+        xs += (0.5 * 10.0 ** np.random.default_rng(3).uniform(0.0, 6.3, 200)).tolist()
+        got = [gamma_shift_ratio(x, 0.5) for x in xs]
+        with mpmath.workdps(40):
+            ref = [
+                float(mpmath.exp(mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(x)))
+                for x in xs
+            ]
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     def test_shift_ratio_keeps_an_exact_half_integer_offset(self):
         # (x + 1.5) - x rounds below 1.5 here; the shift form keeps the
