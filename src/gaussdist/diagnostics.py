@@ -194,6 +194,25 @@ class FitReport:
         )
 
 
+def _sample_variance(values: np.ndarray) -> float:
+    """np.var(values, ddof=1) of non-negative values.
+
+    Past about 1.3e154 the squared deviations overflow though the
+    variance may not; there the values are scaled by a power of two,
+    which is exact, and the variance scaled back.  A variance beyond the
+    double range is a ValueError.
+    """
+    with np.errstate(over="ignore"):
+        var = float(np.var(values, ddof=1))
+    if math.isinf(var):
+        exp = math.frexp(float(np.max(values)))[1]
+        try:
+            var = math.ldexp(float(np.var(np.ldexp(values, -exp), ddof=1)), 2 * exp)
+        except OverflowError:
+            raise ValueError("the observed variance exceeds the double range") from None
+    return var
+
+
 def sample_fit_report(
     sample: EmpiricalSample, law: DistanceDistribution, dependence_caveat: bool
 ) -> FitReport:
@@ -215,7 +234,7 @@ def sample_fit_report(
         ks=ks,
         mean_observed=mean_obs,
         mean_expected=moments.raw[0],
-        variance_observed=float(np.var(sample.values, ddof=1)),
+        variance_observed=_sample_variance(sample.values),
         variance_expected=moments.central[0],
         effective_dimension=k_eff,
         dependence_caveat=dependence_caveat,

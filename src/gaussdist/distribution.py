@@ -18,7 +18,13 @@ import numpy as np
 
 from .moments import _validate_k
 from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
-from .specfun import ConvergenceError, _log_gamma_density, reg_gamma_p, reg_gamma_q
+from .specfun import (
+    ConvergenceError,
+    _log_density_peak,
+    _log_gamma_density,
+    reg_gamma_p,
+    reg_gamma_q,
+)
 
 __all__ = ["DistanceDistribution", "pdf_1d"]
 
@@ -32,17 +38,25 @@ _QUANTILE_MAX_ITER = 200
 _SAMPLE_BLOCK = 1 << 20
 
 
-def _validate_r(r) -> tuple[np.ndarray, bool]:
+def _validate_r(r):
+    """r as a float if it is a scalar, else as a float array."""
+    if isinstance(r, float) or np.ndim(r) == 0:
+        r = float(r)
+        if not 0.0 <= r < math.inf:
+            raise ValueError("distance must be finite and non-negative")
+        return r
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("distance must be finite and non-negative")
-    return arr, arr.ndim == 0
+    return arr
 
 
-def _quarter_square(r: np.ndarray) -> np.ndarray:
+def _quarter_square(r):
     """r^2/4, the gamma variate; +inf past r ~ 1.34e154, where r^2 overflows."""
+    if isinstance(r, float):
+        return r * r / 4.0
     with np.errstate(over="ignore"):
-        return r**2 / 4.0
+        return r * r / 4.0
 
 
 def _normal_tail_quantile(t: float) -> float:
@@ -78,36 +92,37 @@ class DistanceDistribution:
 
     def pdf(self, r):
         """Density at r; the r = 0 limit is 1/sqrt(pi) for k = 1, else 0."""
-        arr, scalar = _validate_r(r)
+        r = _validate_r(r)
+        x = _quarter_square(r)
         if self.k == 1.0:
-            out = np.exp(-_quarter_square(arr)) / _SQRT_PI
-            return float(out) if scalar else out
-        work = np.atleast_1d(arr)
-        x = _quarter_square(work)
-        out = np.zeros_like(work)
-        # Where x overflows, the density has long underflowed to 0.
-        pos = (work > 0.0) & (x < np.inf)
-        if np.any(pos):
-            rp = work[pos]
+            out = np.exp(-x) / _SQRT_PI
+            return float(out) if isinstance(r, float) else out
+        a = 0.5 * self.k
+        peak = _log_density_peak(a)
+
+        def density(r, x):
             # pdf(r) = (2/r) g(r^2/4) for the Gamma(k/2) density g.  Its
             # log x comes from log r, so an r^2/4 that underflows keeps
             # its density.
-            log_half_r = np.log(rp) - _LN_2
-            log_pdf = _log_gamma_density(0.5 * self.k, x[pos], 2.0 * log_half_r) - log_half_r
-            out[pos] = np.exp(log_pdf)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+            log_half_r = np.log(r) - _LN_2
+            return np.exp(_log_gamma_density(a, x, 2.0 * log_half_r, peak) - log_half_r)
+
+        # Where x overflows, the density has long underflowed to 0.
+        if isinstance(r, float):
+            return float(density(r, x)) if r > 0.0 and x < math.inf else 0.0
+        out = np.zeros_like(r)
+        pos = (r > 0.0) & (x < np.inf)
+        if np.any(pos):
+            out[pos] = density(r[pos], x[pos])
+        return out
 
     def cdf(self, r):
         """Probability that the distance is at most r."""
-        arr, scalar = _validate_r(r)
-        out = reg_gamma_p(self.k / 2.0, _quarter_square(arr))
-        return out if scalar else np.asarray(out)
+        return reg_gamma_p(self.k / 2.0, _quarter_square(_validate_r(r)))
 
     def survival(self, r):
         """Upper-tail probability, computed directly (not as 1 - cdf)."""
-        arr, scalar = _validate_r(r)
-        out = reg_gamma_q(self.k / 2.0, _quarter_square(arr))
-        return out if scalar else np.asarray(out)
+        return reg_gamma_q(self.k / 2.0, _quarter_square(_validate_r(r)))
 
     # -- inversion and sampling -----------------------------------------
 

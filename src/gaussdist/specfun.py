@@ -15,6 +15,13 @@ Outside the Temme window both iterations converge in under ~100 steps.
 Each regime computes one tail and obtains the other by complement, so
 P + Q == 1 holds to machine precision by construction.
 
+A scalar x, or an array of at most ``_POINTWISE_MAX`` (16) points, is
+evaluated one Python float at a time (``_reg_gamma_points``), where
+numpy's per-call cost would dominate; longer arrays run in vectorized
+lanes.  The per-point code does a lane's operations in the same order
+and calls numpy for the same transcendental steps, so the two give the
+same bits.
+
 The Temme coefficients d[k][n] (``_TEMME_COEF``) are the Taylor
 coefficients in eta of c_k(eta), DLMF §8.12.  They were generated in
 exact rational arithmetic: eta^2/2 = lambda - 1 - ln(lambda) is inverted
@@ -51,6 +58,11 @@ class ConvergenceError(RuntimeError):
 # Convergence control of the series and the continued fraction.
 _REL_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 300
+
+# Inputs of at most this many points are evaluated one Python float at a
+# time (``_reg_gamma_points``), larger arrays by the vectorized lanes; both
+# give the same bits.  Near 16 points the two cost about the same.
+_POINTWISE_MAX = 16
 
 # Temme's uniform expansion is used for a >= _TEMME_MIN_A and
 # |x - a| < _TEMME_WINDOW * a.  There |eta| < 0.34, so truncating at 20
@@ -202,34 +214,48 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_gamma_density(a: float, x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+def _log_density_peak(a: float) -> float:
+    """log(x^a e^-x / Gamma(a)) at x = a.
+
+    log(a/2 pi)/2 - log Gamma*(a) = a log(a) - a - log Gamma(a), the
+    latter form below _STIRLING_MIN_A.
+    """
+    if a < _STIRLING_MIN_A:
+        return a * math.log(a) - a - math.lgamma(a)
+    inv_sq = 1.0 / (a * a)
+    series = 0.0
+    for c in reversed(_STIRLING_COEF):
+        series = series * inv_sq + c
+    return 0.5 * math.log(a) - _LN_SQRT_2PI - series / a
+
+
+def _log_gamma_density(a: float, x, log_x, peak: float):
     """log(x^a e^-x / Gamma(a)) for x > 0, given log_x = log(x).
 
-    The Stirling-scaled form of DiDonato & Morris (1986),
-    -a (sigma - log1p(sigma)) + log(a / 2 pi)/2 - log Gamma*(a) with
-    sigma = (x - a)/a, cancels the a log(x) and x terms exactly, so the
-    error is that of sigma itself, about sqrt(a) ulps near the peak,
-    instead of a log(x) ulps.  Below x = a/2 sigma has lost the low bits
-    of x/a, so log1p stops at sigma = -1/2 and log(2x/a) < 0 from log_x
-    adds the rest; that also keeps the density of an x that underflows
-    when the caller has its logarithm.
+    x and log_x are both floats or both arrays; peak is
+    ``_log_density_peak(a)``.  The Stirling-scaled form of DiDonato &
+    Morris (1986), -a (sigma - log1p(sigma)) + log(a / 2 pi)/2
+    - log Gamma*(a) with sigma = (x - a)/a, cancels the a log(x) and x
+    terms exactly, so the error is that of sigma itself, about sqrt(a)
+    ulps near the peak, instead of a log(x) ulps.  Below x = a/2 sigma
+    has lost the low bits of x/a, so log1p stops at sigma = -1/2 and
+    log(2x/a) < 0 from log_x adds the rest; that also keeps the density
+    of an x that underflows when the caller has its logarithm.
     """
-    # The value at x = a: log(a/2 pi)/2 - log Gamma*(a) = a log(a) - a - log Gamma(a).
-    if a < _STIRLING_MIN_A:
-        peak = a * math.log(a) - a - math.lgamma(a)
-    else:
-        inv_sq = 1.0 / (a * a)
-        series = 0.0
-        for c in reversed(_STIRLING_COEF):
-            series = series * inv_sq + c
-        peak = 0.5 * math.log(a) - _LN_SQRT_2PI - series / a
     sigma = (x - a) / a
     below_half = np.maximum(log_x - math.log(0.5 * a), _LOG_DENSITY_FLOOR / a - 1.0)
     log_ratio = np.log1p(np.maximum(sigma, -0.5)) + np.minimum(below_half, 0.0)
     return (log_ratio - sigma) * a + peak
 
 
-def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
+def _stalled(method: str, a: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"incomplete gamma {method} did not converge for a={a} "
+        f"within {_MAX_ITERATIONS} iterations"
+    )
+
+
+def _lower_series(a: float, x: np.ndarray, peak: float) -> np.ndarray:
     """P(a, x) by the power series; requires 0 < x < a + 1 elementwise."""
     # The 0.1 factor on the termination tests keeps the final error an
     # order of magnitude inside _REL_TOLERANCE (the stopping increment
@@ -245,17 +271,14 @@ def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
         live = term > stop * total
         if not live.any():
             break
-        # A converged lane adds nothing more, so it ends as a scalar call does.
+        # A converged lane adds nothing more, so it ends as the per-point path does.
         term *= live
     else:
-        raise ConvergenceError(
-            f"incomplete gamma series did not converge for a={a} "
-            f"within {_MAX_ITERATIONS} iterations"
-        )
-    return total * np.exp(_log_gamma_density(a, x, np.log(x))) / a
+        raise _stalled("series", a)
+    return total * np.exp(_log_gamma_density(a, x, np.log(x), peak)) / a
 
 
-def _upper_continued_fraction(a: float, x: np.ndarray) -> np.ndarray:
+def _upper_continued_fraction(a: float, x: np.ndarray, peak: float) -> np.ndarray:
     """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
 
     Gamma(a, x) e^x x^-a = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with
@@ -278,22 +301,24 @@ def _upper_continued_fraction(a: float, x: np.ndarray) -> np.ndarray:
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
-        # A converged lane keeps its h, so it ends as a scalar call does.
+        # A converged lane keeps its h, so it ends as the per-point path does.
         delta[done] = 1.0
         h *= delta
         done = np.abs(delta - 1.0) <= stop
         if done.all():
             break
     else:
-        raise ConvergenceError(
-            f"incomplete gamma continued fraction did not converge for a={a} "
-            f"within {_MAX_ITERATIONS} iterations"
-        )
-    return h * np.exp(_log_gamma_density(a, x, np.log(x)))
+        raise _stalled("continued fraction", a)
+    return h * np.exp(_log_gamma_density(a, x, np.log(x), peak))
 
 
-def _horner(coef, t: np.ndarray) -> np.ndarray:
-    """sum_n coef[n] t^n, elementwise over t."""
+def _horner(coef, t):
+    """sum_n coef[n] t^n, for a float t or elementwise over an array t."""
+    if isinstance(t, float):
+        out = coef[-1]
+        for c in coef[-2::-1]:
+            out = out * t + c
+        return out
     out = np.full_like(t, coef[-1])
     for c in coef[-2::-1]:
         out *= t
@@ -301,7 +326,7 @@ def _horner(coef, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_minus_log1p(sigma: np.ndarray) -> np.ndarray:
+def _sigma_minus_log1p(sigma):
     """sigma - log1p(sigma) for |sigma| < 0.3, to a few ulps.
 
     Subtracting log1p(sigma) from sigma loses 1/|sigma| ulps to
@@ -312,6 +337,11 @@ def _sigma_minus_log1p(sigma: np.ndarray) -> np.ndarray:
     u = sigma / (2.0 + sigma)
     u2 = u * u
     return sigma * u - 2.0 * (u * u2) * _horner(_ATANH_COEF, u2)
+
+
+def _temme_coef(a: float) -> np.ndarray:
+    """b_n = sum_k d[k][n] a^-k, which folds Temme's double sum into one polynomial."""
+    return np.power(a, -np.arange(_TEMME_COEF.shape[0], dtype=float)) @ _TEMME_COEF
 
 
 def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +357,9 @@ def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = sigma >= 0.0
     half_eta_sq = _sigma_minus_log1p(sigma)
     eta = np.copysign(np.sqrt(2.0 * half_eta_sq), sigma)
-    # b_n = sum_k d[k][n] a^-k folds the double sum into one polynomial.
-    coef = np.power(a, -np.arange(_TEMME_COEF.shape[0], dtype=float)) @ _TEMME_COEF
     # +R in the Q tail (x >= a), -R in the P tail.
     signed_r = np.copysign(np.exp(-a * half_eta_sq), sigma)
-    signed_r *= _horner(coef, eta)
+    signed_r *= _horner(_temme_coef(a), eta)
     signed_r /= math.sqrt(2.0 * math.pi * a)
     # numpy has no erfc; math.erfc per element keeps the runtime numpy-only.
     y = np.abs(eta, out=eta)
@@ -342,35 +370,105 @@ def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tail, upper
 
 
+def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[float]]:
+    """P and Q at each float x >= 0 of xs, by the operations of one array lane.
+
+    Each branch repeats, on Python floats and in the same order, what
+    ``_reg_gamma_both``'s array code does to one lane, and calls numpy
+    for exactly the transcendental steps the array code calls it for, so
+    the results are the same bits.  What depends on a alone is formed
+    once per call.
+    """
+    if not all(x >= 0.0 for x in xs):
+        raise ValueError("incomplete gamma requires x >= 0")
+    stop = 0.1 * _REL_TOLERANCE
+    peak = _log_density_peak(a)
+    coef = None
+    ps, qs = [], []
+    for x in xs:
+        if x == 0.0 or x == math.inf:
+            p = float(x == math.inf)
+            q = 1.0 - p
+        elif a >= _TEMME_MIN_A and abs(x - a) < _TEMME_WINDOW * a:
+            if coef is None:
+                coef = _temme_coef(a).tolist()
+            sigma = (x - a) / a
+            half_eta_sq = _sigma_minus_log1p(sigma)
+            eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
+            signed_r = math.copysign(float(np.exp(-a * half_eta_sq)), sigma)
+            signed_r *= _horner(coef, eta)
+            signed_r /= math.sqrt(2.0 * math.pi * a)
+            tail = math.erfc(abs(eta) * math.sqrt(0.5 * a)) * 0.5 + signed_r
+            p, q = (1.0 - tail, tail) if sigma >= 0.0 else (tail, 1.0 - tail)
+        elif x < a + 1.0:
+            term = total = 1.0
+            rate = a
+            for _ in range(_MAX_ITERATIONS):
+                rate += 1.0
+                term *= x / rate
+                total += term
+                if not term > stop * total:
+                    break
+            else:
+                raise _stalled("series", a)
+            p = total * float(np.exp(_log_gamma_density(a, x, float(np.log(x)), peak))) / a
+            q = 1.0 - p
+        else:
+            b = x + (1.0 - a)
+            d = h = 1.0 / b
+            c = math.inf
+            for i in range(1, _MAX_ITERATIONS + 1):
+                an = -i * (i - a)
+                b += 2.0
+                d = 1.0 / (an * d + b)
+                c = b + an / c
+                delta = c * d
+                h *= delta
+                if abs(delta - 1.0) <= stop:
+                    break
+            else:
+                raise _stalled("continued fraction", a)
+            q = h * float(np.exp(_log_gamma_density(a, x, float(np.log(x)), peak)))
+            p = 1.0 - q
+        ps.append(p)
+        qs.append(q)
+    return ps, qs
+
+
 def _reg_gamma_both(a: float, x):
-    arr = np.asarray(x, dtype=float)
-    if not (np.isfinite(a) and a > 0.0):
+    a = float(a)
+    if not (math.isfinite(a) and a > 0.0):
         raise ValueError("incomplete gamma requires finite a > 0")
+    if isinstance(x, float) or np.ndim(x) == 0:
+        ps, qs = _reg_gamma_points(a, [float(x)])
+        return ps[0], qs[0]
+    arr = np.asarray(x, dtype=float)
+    if arr.size <= _POINTWISE_MAX:
+        ps, qs = _reg_gamma_points(a, arr.ravel().tolist())
+        return np.array(ps).reshape(arr.shape), np.array(qs).reshape(arr.shape)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ValueError("incomplete gamma requires x >= 0")
-    work = np.atleast_1d(arr)
     # P(a, 0) = 0, Q(a, 0) = 1, P(a, inf) = 1 and Q(a, inf) = 0; every
     # other lane is overwritten below.
-    p = (work == np.inf).astype(float)
+    p = (arr == np.inf).astype(float)
     q = 1.0 - p
-    bulk = (a >= _TEMME_MIN_A) & (np.abs(work - a) < _TEMME_WINDOW * a)
-    lower = ~bulk & (work > 0.0) & (work < a + 1.0)
-    upper = ~bulk & (work >= a + 1.0) & (work < np.inf)
+    bulk = (a >= _TEMME_MIN_A) & (np.abs(arr - a) < _TEMME_WINDOW * a)
+    lower = ~bulk & (arr > 0.0) & (arr < a + 1.0)
+    upper = ~bulk & (arr >= a + 1.0) & (arr < np.inf)
+    peak = _log_density_peak(a)
     if np.any(bulk):
-        tail, is_q = _temme_tail(a, work[bulk])
+        tail, is_q = _temme_tail(a, arr[bulk])
         p[bulk] = np.where(is_q, 1.0 - tail, tail)
         q[bulk] = np.where(is_q, tail, 1.0 - tail)
     if np.any(lower):
-        pl = _lower_series(a, work[lower])
+        pl = _lower_series(a, arr[lower], peak)
         p[lower] = pl
         q[lower] = 1.0 - pl
     if np.any(upper):
-        qu = _upper_continued_fraction(a, work[upper])
+        qu = _upper_continued_fraction(a, arr[upper], peak)
         q[upper] = qu
         p[upper] = 1.0 - qu
-    if arr.ndim == 0:
-        return float(p[0]), float(q[0])
-    return p.reshape(arr.shape), q.reshape(arr.shape)
+    return p, q
 
 
 def reg_gamma_p(a, x):

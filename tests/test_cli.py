@@ -95,9 +95,11 @@ class TestEval:
         # Five series terms are too few for P(1.5, 0.25) to reach its
         # tolerance, so the kernel raises ConvergenceError.
         monkeypatch.setattr(specfun, "_MAX_ITERATIONS", 5)
-        code, out, err = run(capsys, "eval", "--k", "3", "--which", "cdf", "--at", "1")
-        assert code == 3
-        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        # One point takes the per-point path, 40 points the array lanes.
+        for at in ("1", ",".join(["1"] * 40)):
+            code, out, err = run(capsys, "eval", "--k", "3", "--which", "cdf", "--at", at)
+            assert code == 3
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
     def test_huge_dimension_quantiles_settle(self, capsys):
         # Past k ~ 1e32 the law is narrower than the spacing of doubles
@@ -302,6 +304,26 @@ class TestTest:
         code, out, err = run(capsys, "test", str(path), "--k", "3")
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {path}: mean distance") and err.count("\n") == 1
+
+    def test_variance_past_square_overflow_is_reported(self, capsys, tmp_path):
+        # Squared deviations of 1e154 overflow; the variance 1.67e307 does not.
+        path = tmp_path / "wide.txt"
+        path.write_text("0\n1e154\n2e154\n" + "1\n" * 26)
+        code, out, err = run(capsys, "test", str(path), "--k", "3")
+        assert (code, err) == (1, "")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out.splitlines()[-1], parse_constant=refuse)
+        assert payload["variance_observed"] == pytest.approx(1.6748768472906404e307, rel=1e-15)
+
+    def test_variance_beyond_double_range_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "wider.txt"
+        path.write_text("0\n2.6e154\n")
+        code, out, err = run(capsys, "test", str(path), "--k", "3")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: the observed variance exceeds the double range\n"
 
     def test_two_numbers_on_a_line_name_the_line(self, capsys, tmp_path):
         # Every line holds two numbers, so numpy's reader parses a clean

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,10 +13,11 @@ from gaussdist.diagnostics import (
     fit_report,
     pairwise_distances,
     relative_contrast_curve,
+    sample_fit_report,
     standardize,
 )
 from gaussdist.distribution import DistanceDistribution
-from gaussdist.montecarlo import SampleSource
+from gaussdist.montecarlo import EmpiricalSample, SampleSource
 from gaussdist.moments import raw_moment
 
 from _oracles import TWO_SQRT_LN2
@@ -231,6 +233,35 @@ class TestFitReport:
         ):
             assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12)
         assert a.ks.statistic == pytest.approx(b.ks.statistic, rel=1e-9)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 1e154, 2e154] + [1.0] * 26,
+        [0.0] * 99 + [1e155],
+        [0.0, 1.8e154, 1.9e154],
+    ])
+    def test_variance_past_square_overflow(self, values):
+        # The squared deviations overflow, the variance does not.
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+        report = sample_fit_report(
+            EmpiricalSample(np.array(values), k=3.0, source=SampleSource.EXTERNAL),
+            DistanceDistribution(3.0),
+            dependence_caveat=False,
+        )
+        assert abs(Fraction(report.variance_observed) - var) <= var * Fraction(1e-15)
+
+    def test_variance_beyond_double_range_is_value_error(self):
+        sample = EmpiricalSample(np.array([0.0, 2.6e154]), k=3.0, source=SampleSource.EXTERNAL)
+        with pytest.raises(ValueError, match="variance exceeds the double range"):
+            sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    def test_variance_below_overflow_is_numpys(self, scale):
+        values = scale * np.random.default_rng(4).uniform(0.0, 3.0, 500)
+        sample = EmpiricalSample(values, k=3.0, source=SampleSource.EXTERNAL)
+        report = sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
+        assert report.variance_observed == float(np.var(sample.values, ddof=1))
 
     def test_json_round_trip(self):
         import json

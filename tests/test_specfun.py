@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from gaussdist import specfun
+from gaussdist.distribution import DistanceDistribution
 from gaussdist.specfun import (
     _TEMME_COEF,
     ConvergenceError,
@@ -50,6 +51,12 @@ class TestLogGamma:
         got = np.array([log_gamma(x) for x in xs])
         err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
         assert np.max(err) <= 1e-13
+
+
+def both_paths(x):
+    """x alone, and x after zeros (no iteration) in an array too long for
+    the per-point path."""
+    return [x, np.append(np.zeros(2 * specfun._POINTWISE_MAX), x)]
 
 
 class TestRegularizedGamma:
@@ -119,17 +126,31 @@ class TestRegularizedGamma:
         "a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.1), (1.0, math.nan), (1.0, -math.inf)]
     )
     def test_domain_errors(self, a, x):
-        with pytest.raises(ValueError):
-            reg_gamma_p(a, x)
-        with pytest.raises(ValueError):
-            reg_gamma_q(a, x)
+        # The same message from the per-point path and the array lanes.
+        for f in (reg_gamma_p, reg_gamma_q):
+            messages = set()
+            for arg in both_paths(x):
+                with pytest.raises(ValueError) as info:
+                    f(a, arg)
+                messages.add(str(info.value))
+            assert len(messages) == 1
 
     def test_convergence_error_signals_pathological_input(self, monkeypatch):
         # x = 0.65 a lies outside the Temme window, so the series runs and
-        # needs about 70 iterations.
-        monkeypatch.setattr(specfun, "_MAX_ITERATIONS", 50)
-        with pytest.raises(ConvergenceError):
-            reg_gamma_p(1e6, 6.5e5)
+        # needs about 70 iterations; the continued fraction at Q(1.5, 3)
+        # needs 22.
+        cases = ((50, 1e6, 6.5e5, "series"), (10, 1.5, 3.0, "continued fraction"))
+        for budget, a, x, method in cases:
+            monkeypatch.setattr(specfun, "_MAX_ITERATIONS", budget)
+            messages = set()
+            for arg in both_paths(x):
+                with pytest.raises(ConvergenceError) as info:
+                    reg_gamma_p(a, arg)
+                messages.add(str(info.value))
+            assert messages == {
+                f"incomplete gamma {method} did not converge for a={a} "
+                f"within {budget} iterations"
+            }
 
 
 def temme_table_exact(rows, cols):
@@ -204,8 +225,59 @@ class TestTemmeExpansion:
                 assert f(20.0, x) == pytest.approx(f(below, x), rel=1e-13, abs=0)
 
     def test_array_matches_scalar(self):
-        xs = 1e5 * np.linspace(0.72, 1.28, 15)
+        xs = 1e5 * np.linspace(0.72, 1.28, 2 * specfun._POINTWISE_MAX + 1)
         assert np.array_equal(reg_gamma_q(1e5, xs), [reg_gamma_q(1e5, x) for x in xs])
+
+
+class TestPointwisePath:
+    """Single points and short arrays run on Python floats, longer arrays
+    in vectorized lanes; both must give the same bits."""
+
+    @staticmethod
+    def grid(a, rng):
+        xs = [0.0, math.inf, 1e-300, a]
+        for edge in (0.7 * a, 1.3 * a, a + 1.0):
+            xs += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+        xs += (a * rng.uniform(0.0, 4.5, 40)).tolist()
+        xs += (10.0 ** rng.uniform(-300.0, math.log10(4.5 * a), 20)).tolist()
+        return np.array(xs)
+
+    def test_points_match_array_lanes(self):
+        rng = np.random.default_rng(10)
+        shapes = [0.5, np.nextafter(20.0, 0.0), 20.0, 1e7]
+        shapes += np.exp(rng.uniform(math.log(0.5), math.log(1e7), 32)).tolist()
+        for a in shapes:
+            xs = self.grid(a, rng)
+            assert xs.size > 2 * specfun._POINTWISE_MAX
+            p, q = reg_gamma_p(a, xs), reg_gamma_q(a, xs)
+            for x, pi, qi in zip(xs.tolist(), p.tolist(), q.tolist()):
+                assert (reg_gamma_p(a, x), reg_gamma_q(a, x)) == (pi, qi), (a, x)
+            law = DistanceDistribution(2.0 * a)
+            rs = 2.0 * np.sqrt(xs[xs < math.inf])
+            assert law.pdf(rs).tolist() == [law.pdf(r) for r in rs.tolist()]
+
+    @pytest.mark.parametrize("a", [5.0, 15.0, 500.0])
+    def test_threshold_and_one_more_give_equal_rows(self, a, monkeypatch):
+        xs = a * np.linspace(0.01, 3.0, specfun._POINTWISE_MAX + 1)
+        calls = []
+        pointwise = specfun._reg_gamma_points
+        monkeypatch.setattr(specfun, "_reg_gamma_points",
+                            lambda *args: calls.append(1) or pointwise(*args))
+        short = specfun._reg_gamma_both(a, xs[:-1])
+        long = specfun._reg_gamma_both(a, xs)
+        assert len(calls) == 1
+        for s_row, l_row in zip(short, long):
+            assert s_row.tolist() == l_row[:-1].tolist()
+
+    def test_short_arrays_keep_their_shape(self):
+        for xs in (np.empty((0, 3)), np.array([[1.0, 2.0], [3.0, 40.0]])):
+            p, q = reg_gamma_p(30.0, xs), reg_gamma_q(30.0, xs)
+            assert p.shape == q.shape == xs.shape and p.dtype == q.dtype == float
+
+    def test_scalars_come_back_as_python_floats(self):
+        for x in (0.0, 2.0, 25.0, 80.0, math.inf, np.float64(2.0), np.array(2.0), 3):
+            assert type(reg_gamma_p(30.0, x)) is float
+            assert type(reg_gamma_q(30.0, x)) is float
 
 
 class TestGammaRatio:
