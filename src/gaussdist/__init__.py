@@ -22,7 +22,7 @@ from .diagnostics import (
     sample_fit_report,
     standardize,
 )
-from .distribution import DistanceDistribution, pdf_1d
+from .distribution import DistanceDistribution
 from .moments import (
     MomentSet,
     central_moment,
@@ -42,13 +42,7 @@ from .montecarlo import (
     sample_moments,
     simulate_pairs,
 )
-from .specfun import (
-    ConvergenceError,
-    gamma_shift_ratio,
-    log_gamma,
-    reg_gamma_p,
-    reg_gamma_q,
-)
+from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
 
 __all__ = [
     "__version__",
@@ -67,14 +61,11 @@ __all__ = [
     "ecdf",
     "effective_dimension",
     "fit_report",
-    "gamma_shift_ratio",
     "ks_one_sample",
     "ks_two_sample",
     "kurtosis",
-    "log_gamma",
     "moment_set",
     "pairwise_distances",
-    "pdf_1d",
     "raw_moment",
     "reg_gamma_p",
     "reg_gamma_q",

@@ -494,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="1,10,100,1000", help="comma-separated dimensions")
     p.add_argument("--n", type=int, default=100, help="points per experiment")
     p.add_argument("--seeds", default="20", help="seed count, or comma-separated seeds")
-    p.add_argument(
-        "--threads", type=_thread_count, default=1,
-        help="accepted (>= 1) and has no effect: the experiment runs in one thread",
-    )
     p.add_argument("--output")
     p.set_defaults(func=_cmd_contrast)
 

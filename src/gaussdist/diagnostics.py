@@ -10,13 +10,14 @@ exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import DistanceDistribution
-from .moments import moment_set, raw_moment
+from .moments import _variance_deficit, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     KsResult,
@@ -25,7 +26,6 @@ from .montecarlo import (
     _substream,
     ks_one_sample,
 )
-from .specfun import _variance_deficit
 
 __all__ = [
     "DatasetMatrix",
@@ -194,23 +194,26 @@ class FitReport:
         )
 
 
-def _sample_variance(values: np.ndarray) -> float:
-    """np.var(values, ddof=1) of non-negative values.
+def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
+    """np.mean(values) and np.var(values, ddof=1) of non-negative values.
 
-    Past about 1.3e154 the squared deviations overflow though the
-    variance may not; there the values are scaled by a power of two,
-    which is exact, and the variance scaled back.  A variance beyond the
-    double range is a ValueError.
+    Past about 1.3e154 the squared deviations overflow, and past about
+    1.8e308 the sum, while the variance and the mean may still be
+    finite.  A result that overflows is formed again from the values
+    scaled by a power of two, which is exact, and scaled back.  A
+    variance beyond the double range stays inf.
     """
     with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
         var = float(np.var(values, ddof=1))
     if math.isinf(var):
         exp = math.frexp(float(np.max(values)))[1]
-        try:
-            var = math.ldexp(float(np.var(np.ldexp(values, -exp), ddof=1)), 2 * exp)
-        except OverflowError:
-            raise ValueError("the observed variance exceeds the double range") from None
-    return var
+        scaled = np.ldexp(values, -exp)
+        if math.isinf(mean):
+            mean = math.ldexp(float(np.mean(scaled)), exp)
+        with contextlib.suppress(OverflowError):
+            var = math.ldexp(float(np.var(scaled, ddof=1)), 2 * exp)
+    return mean, var
 
 
 def sample_fit_report(
@@ -225,16 +228,18 @@ def sample_fit_report(
         raise ValueError(f"fit report needs at least 2 distances, got {sample.n}")
     ks = ks_one_sample(sample, law)
     moments = moment_set(law.k)
-    mean_obs = float(np.mean(sample.values))
+    mean_obs, var_obs = _mean_and_variance(sample.values)
     # First, so a mean too large for any dimension fails before the variance.
     k_eff = effective_dimension(mean_obs)
+    if math.isinf(var_obs):
+        raise ValueError("the observed variance exceeds the double range")
     return FitReport(
         k=law.k,
         n_pairs=sample.n,
         ks=ks,
         mean_observed=mean_obs,
         mean_expected=moments.raw[0],
-        variance_observed=_sample_variance(sample.values),
+        variance_observed=var_obs,
         variance_expected=moments.central[0],
         effective_dimension=k_eff,
         dependence_caveat=dependence_caveat,

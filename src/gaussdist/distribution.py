@@ -26,7 +26,7 @@ from .specfun import (
     reg_gamma_q,
 )
 
-__all__ = ["DistanceDistribution", "pdf_1d"]
+__all__ = ["DistanceDistribution"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _LN_2 = math.log(2.0)
@@ -211,11 +211,3 @@ class DistanceDistribution:
         return EmpiricalSample(
             values, k=self.k, source=SampleSource.ANALYTIC_SAMPLER, seed=seed
         )
-
-
-def pdf_1d(x):
-    """Density of the absolute difference of two standard Gaussians.
-
-    Identical (bit for bit) to ``DistanceDistribution(1).pdf``.
-    """
-    return DistanceDistribution(1.0).pdf(x)

@@ -1,4 +1,4 @@
-"""Special-function kernel: log-gamma, regularized incomplete gamma, gamma ratios.
+"""Special-function kernel: the regularized incomplete gamma functions.
 
 Everything here is self-contained (numpy only).  The incomplete gamma
 functions accept a scalar or array x >= 0, x = +inf included, and split
@@ -20,7 +20,9 @@ evaluated one Python float at a time (``_reg_gamma_points``), where
 numpy's per-call cost would dominate; longer arrays run in vectorized
 lanes.  The per-point code does a lane's operations in the same order
 and calls numpy for the same transcendental steps, so the two give the
-same bits.
+same bits.  Both paths pick Temme's regime by one rule
+(``_in_temme_window``) and run one body of it (``_temme_tail``), which
+takes a float or an array.
 
 The Temme coefficients d[k][n] (``_TEMME_COEF``) are the Taylor
 coefficients in eta of c_k(eta), DLMF §8.12.  They were generated in
@@ -31,9 +33,9 @@ c_k = c_{k-1}'(eta)/eta + (-1)^k g_k/(lambda - 1) gives the rest, with
 the Stirling coefficient g_k fixed by cancelling the 1/eta term.
 ``tests/test_specfun.py`` regenerates the table and checks every entry.
 
-Gamma(x + 1/2)/Gamma(x) has one rule, sqrt(x - 1/4 + delta(x)/4), from
-the variance deficit delta = 1 - mu2 of the chi law at k = 2x
-(``_variance_deficit``), on which ``moments`` builds too.
+The gamma density x^a e^-x / Gamma(a), which scales the series, the
+continued fraction and the law's pdf, is formed here too
+(``_log_gamma_density``).
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "log_gamma",
-    "reg_gamma_p",
-    "reg_gamma_q",
-    "gamma_shift_ratio",
-]
+__all__ = ["ConvergenceError", "reg_gamma_p", "reg_gamma_q"]
 
 
 class ConvergenceError(RuntimeError):
@@ -167,24 +163,6 @@ _TEMME_COEF = np.array((
 # relative for |u| < 0.18, i.e. |sigma| < 0.3.
 _ATANH_COEF = tuple(1.0 / (2 * j + 3) for j in range(11))
 
-# (Gamma(x+1/2)/Gamma(x))^2 / x = 1 + sum_{i>=1} d_i x^-i, the squared
-# Stirling ratio series, so the chi variance at k = 2x is 2k - 4x(1 + ...)
-# = 1 - 4 sum_{i>=2} d_i x^(1-i) (d_1 = -1/4).  d_2..d_10 are 1/32, 1/128,
-# -5/2048, -23/8192, 53/65536, 593/262144, -5165/8388608,
-# -110123/33554432, 231743/268435456; truncation error < 1e-17 for x > 32.
-_VARIANCE_TAIL_COEF = (
-    0.03125,
-    0.0078125,
-    -0.00244140625,
-    -0.0028076171875,
-    0.00080871582031250,
-    0.0022621154785156250,
-    -0.000615715980529785156,
-    -0.0032819211483001709,
-    0.000863309949636459351,
-)
-
-
 # Stirling series of log Gamma*(a) = log Gamma(a) - (a - 1/2) log a + a
 # - log(2 pi)/2 (DLMF 5.11.1): B_2n / (2n (2n - 1)), the coefficient of
 # a^-(2n-1).  For a >= _STIRLING_MIN_A seven terms leave an error below
@@ -199,19 +177,6 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # the floor, so clamping log(2x/a) there changes no result and keeps
 # the product with a finite at any accepted a.
 _LOG_DENSITY_FLOOR = -2000.0
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for a scalar x > 0.
-
-    ``math.lgamma``, whose relative error is below 1e-13 for x in
-    [0.5, 1e6] (away from the zeros at x = 1 and x = 2, where the
-    absolute error is at machine level).
-    """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("log_gamma requires finite x > 0")
-    return math.lgamma(x)
 
 
 def _log_density_peak(a: float) -> float:
@@ -339,28 +304,40 @@ def _sigma_minus_log1p(sigma):
     return sigma * u - 2.0 * (u * u2) * _horner(_ATANH_COEF, u2)
 
 
-def _temme_coef(a: float) -> np.ndarray:
+def _in_temme_window(a: float, x):
+    """Whether Temme's expansion evaluates P and Q at x, a float or an array."""
+    return (a >= _TEMME_MIN_A) & (abs(x - a) < _TEMME_WINDOW * a)
+
+
+def _temme_coef(a: float) -> list[float]:
     """b_n = sum_k d[k][n] a^-k, which folds Temme's double sum into one polynomial."""
-    return np.power(a, -np.arange(_TEMME_COEF.shape[0], dtype=float)) @ _TEMME_COEF
+    return (np.power(a, -np.arange(_TEMME_COEF.shape[0], dtype=float)) @ _TEMME_COEF).tolist()
 
 
-def _temme_tail(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q(a, x) where x >= a and P(a, x) where x < a, and the mask x >= a.
+def _temme_tail(a: float, x, coef: list[float]):
+    """Q(a, x) where x >= a and P(a, x) where x < a, and whether x >= a.
 
-    Temme's expansion Q = erfc(eta sqrt(a/2))/2 + R and
-    P = erfc(-eta sqrt(a/2))/2 - R, with
+    x is a float or an array, evaluated elementwise; coef is
+    ``_temme_coef(a)``.  Temme's expansion Q = erfc(eta sqrt(a/2))/2 + R
+    and P = erfc(-eta sqrt(a/2))/2 - R, with
     R = exp(-a eta^2/2) / sqrt(2 pi a) * sum_k c_k(eta) a^-k,
     eta^2/2 = sigma - log1p(sigma), sigma = (x - a)/a and eta of the
-    sign of sigma.  Arrays are updated in place to bound peak memory.
+    sign of sigma.  math and numpy round sqrt and copysign alike, and
+    both paths take np.exp, so a float gives the bits of its array lane.
+    Arrays are updated in place to bound peak memory.
     """
+    scalar = isinstance(x, float)
+    sqrt, copysign = (math.sqrt, math.copysign) if scalar else (np.sqrt, np.copysign)
     sigma = (x - a) / a
     upper = sigma >= 0.0
     half_eta_sq = _sigma_minus_log1p(sigma)
-    eta = np.copysign(np.sqrt(2.0 * half_eta_sq), sigma)
+    eta = copysign(sqrt(2.0 * half_eta_sq), sigma)
     # +R in the Q tail (x >= a), -R in the P tail.
-    signed_r = np.copysign(np.exp(-a * half_eta_sq), sigma)
-    signed_r *= _horner(_temme_coef(a), eta)
+    signed_r = copysign(np.exp(-a * half_eta_sq), sigma)
+    signed_r *= _horner(coef, eta)
     signed_r /= math.sqrt(2.0 * math.pi * a)
+    if scalar:
+        return math.erfc(abs(eta) * math.sqrt(0.5 * a)) * 0.5 + signed_r, upper
     # numpy has no erfc; math.erfc per element keeps the runtime numpy-only.
     y = np.abs(eta, out=eta)
     y *= math.sqrt(0.5 * a)
@@ -389,17 +366,11 @@ def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[floa
         if x == 0.0 or x == math.inf:
             p = float(x == math.inf)
             q = 1.0 - p
-        elif a >= _TEMME_MIN_A and abs(x - a) < _TEMME_WINDOW * a:
+        elif _in_temme_window(a, x):
             if coef is None:
-                coef = _temme_coef(a).tolist()
-            sigma = (x - a) / a
-            half_eta_sq = _sigma_minus_log1p(sigma)
-            eta = math.copysign(math.sqrt(2.0 * half_eta_sq), sigma)
-            signed_r = math.copysign(float(np.exp(-a * half_eta_sq)), sigma)
-            signed_r *= _horner(coef, eta)
-            signed_r /= math.sqrt(2.0 * math.pi * a)
-            tail = math.erfc(abs(eta) * math.sqrt(0.5 * a)) * 0.5 + signed_r
-            p, q = (1.0 - tail, tail) if sigma >= 0.0 else (tail, 1.0 - tail)
+                coef = _temme_coef(a)
+            tail, upper = _temme_tail(a, x, coef)
+            p, q = (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
         elif x < a + 1.0:
             term = total = 1.0
             rate = a
@@ -452,12 +423,12 @@ def _reg_gamma_both(a: float, x):
     # other lane is overwritten below.
     p = (arr == np.inf).astype(float)
     q = 1.0 - p
-    bulk = (a >= _TEMME_MIN_A) & (np.abs(arr - a) < _TEMME_WINDOW * a)
+    bulk = _in_temme_window(a, arr)
     lower = ~bulk & (arr > 0.0) & (arr < a + 1.0)
     upper = ~bulk & (arr >= a + 1.0) & (arr < np.inf)
     peak = _log_density_peak(a)
     if np.any(bulk):
-        tail, is_q = _temme_tail(a, arr[bulk])
+        tail, is_q = _temme_tail(a, arr[bulk], _temme_coef(a))
         p[bulk] = np.where(is_q, 1.0 - tail, tail)
         q[bulk] = np.where(is_q, tail, 1.0 - tail)
     if np.any(lower):
@@ -490,49 +461,3 @@ def reg_gamma_q(a, x):
     precision.
     """
     return _reg_gamma_both(a, x)[1]
-
-
-def _variance_deficit(x: float) -> float:
-    """delta(x) = 1 - mu2, the variance deficit of the chi law at k = 2x.
-
-    4s/x for the series sum s at x + n > 32, then
-    delta(x) = (delta(x + 1) + 1/(4x^2)) / (1 + 1/(2x))^2 down to x, exact
-    by Gamma(x + 1) = x Gamma(x) and adding only positive terms.
-    """
-    n = 0 if x > 32.0 else math.floor(32.0 - x) + 1
-    top = x + n
-    s = 0.0
-    for d in reversed(_VARIANCE_TAIL_COEF):
-        s = s / top + d
-    deficit = 4.0 * s / top
-    for i in range(n - 1, -1, -1):
-        y = x + i
-        deficit = (deficit + 0.25 / (y * y)) / (1.0 + 0.5 / y) ** 2
-    return deficit
-
-
-def gamma_shift_ratio(x: float, shift: float) -> float:
-    """Gamma(x + shift) / Gamma(x) for x > 0 and shift >= 0.
-
-    The integer part of the shift is reduced exactly through the
-    recurrence Gamma(z + 1) = z Gamma(z), so ratios like
-    Gamma(x + 1)/Gamma(x) are exact at any magnitude.  A remaining half
-    step at x >= 1/2 is sqrt(x - 1/4 + delta(x)/4), the chi identity
-    m1^2 = 2k - 1 + delta at k = 2x, in which nothing cancels.  Below
-    x = 1/2, where 4x - 1 + delta does cancel, and for any other
-    fraction it is exp(log_gamma(x + frac) - log_gamma(x)).
-    """
-    if not (np.isfinite(x) and np.isfinite(shift) and x > 0.0 and shift >= 0.0):
-        raise ValueError("gamma_shift_ratio requires finite x > 0 and shift >= 0")
-    steps = int(math.floor(shift))
-    frac = shift - steps
-    if frac == 0.0:
-        base = 1.0
-    elif frac == 0.5 and x >= 0.5:
-        base = math.sqrt(x - 0.25 + 0.25 * _variance_deficit(x))
-    else:
-        base = math.exp(log_gamma(x + frac) - log_gamma(x))
-    result = base
-    for i in range(steps):
-        result *= x + frac + i
-    return result

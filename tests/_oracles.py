@@ -18,8 +18,6 @@ RATIO_50P5_50 = 7.053412514876913325505798  # Gamma(50.5)/Gamma(50)
 TWO_SQRT_LN2 = 1.6651092223153956  # median of the k=2 law
 INV_SQRT_PI = 0.5641895835477563
 TWO_OVER_SQRT_PI = 1.1283791670955126
-LN_SQRT_PI = 0.5723649429247001
-LN_120 = 4.787491742782046
 
 
 def quad_moment(pdf, n, center, upper):

@@ -109,7 +109,7 @@ class TestEval:
                              "--at", "1e-10,0.001,0.5,0.999")
         assert (code, err) == (0, "")
         values = [float(line.split()[1]) for line in out.splitlines()]
-        assert values == pytest.approx([math.sqrt(2e45)] * 4, rel=1e-15)
+        assert values == pytest.approx([math.sqrt(2e45)] * 4, rel=1e-15, abs=0)
 
     def test_large_dimension_quantiles_increase(self, capsys):
         code, out, err = run(capsys, "eval", "--k", "1e20", "--which", "quantile",
@@ -232,7 +232,7 @@ class TestSample:
         code, _, _ = run(capsys, "sample", "--k", "2", "--n", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["sample", "contrast"])
+    @pytest.mark.parametrize("command", ["sample"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, capsys, command, threads):
         argv = ["--k", "2", "--n", "10", "--threads", threads]
@@ -305,6 +305,14 @@ class TestTest:
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {path}: mean distance") and err.count("\n") == 1
 
+    def test_mean_past_sum_overflow_is_one_error_line(self, capsys, tmp_path):
+        # The sum overflows, the mean 1.35e308 does not; its square does.
+        path = tmp_path / "huge.txt"
+        path.write_text("1.7e308\n1e308\n")
+        code, out, err = run(capsys, "test", str(path), "--k", "3")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: mean distance 1.35e+308 is too large: its square overflows\n"
+
     def test_variance_past_square_overflow_is_reported(self, capsys, tmp_path):
         # Squared deviations of 1e154 overflow; the variance 1.67e307 does not.
         path = tmp_path / "wide.txt"
@@ -316,7 +324,9 @@ class TestTest:
             raise ValueError(f"{name} is not JSON")
 
         payload = json.loads(out.splitlines()[-1], parse_constant=refuse)
-        assert payload["variance_observed"] == pytest.approx(1.6748768472906404e307, rel=1e-15)
+        assert payload["variance_observed"] == pytest.approx(
+            1.6748768472906404e307, rel=1e-15, abs=0
+        )
 
     def test_variance_beyond_double_range_is_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "wider.txt"
@@ -631,14 +641,19 @@ class TestContrast:
 
     def test_deterministic_and_thread_invariant(self, tmp_path):
         outputs = []
-        for i, threads in enumerate(("1", "1", "4")):
+        for i in range(2):
             path = tmp_path / f"c{i}.txt"
             assert main(
-                ["contrast", "--k", "1,10", "--n", "50", "--seeds", "3",
-                 "--threads", threads, "--output", str(path)]
+                ["contrast", "--k", "1,10", "--n", "50", "--seeds", "3", "--output", str(path)]
             ) == 0
             outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    def test_has_no_threads_option(self, capsys):
+        # The experiment runs in one thread, so it takes no thread count.
+        code, out, err = run(capsys, "contrast", "--k", "2", "--n", "10", "--threads", "1")
+        assert (code, out) == (2, "")
+        assert "--threads" in err
 
 
 BAD_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1", "0", "", "x")
@@ -715,7 +730,6 @@ def command_pools(tmp_path_factory):
             "--k": ("1", "1,10", "1000", "2.5", ",", "1,inf", *BAD_NUMBERS),
             "--n": ("3", "30", "100", "2", "-1", "x"),
             "--seeds": ("1", "3", "7,9", "0", "", ",", "-1", "1,-2", "x"),
-            "--threads": threads,
             "--output": outputs,
         }),
     }
@@ -802,6 +816,21 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+
+def test_benchmark_hook_names_stay_public():
+    # benchmark/child.py times cli.build_parser(), benchmark/trace_layers.py
+    # wraps what each module's __all__ lists, and benchmark/run.py reads
+    # these spans by name: a name that left __all__ would read as zero.
+    from gaussdist import diagnostics, distribution, montecarlo
+
+    assert callable(cli.build_parser)
+    assert {"reg_gamma_p", "reg_gamma_q"} <= set(specfun.__all__)
+    assert "DistanceDistribution" in distribution.__all__
+    assert callable(distribution.DistanceDistribution.quantile)
+    assert callable(distribution.DistanceDistribution.sample)
+    assert {"simulate_pairs", "ks_one_sample", "ks_two_sample"} <= set(montecarlo.__all__)
+    assert "pairwise_distances" in diagnostics.__all__
 
 
 class TestAllocationFailure:

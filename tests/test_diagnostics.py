@@ -101,8 +101,8 @@ class TestPairwiseDistances:
         raw = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         sample = pairwise_distances(standardize(DatasetMatrix(raw)))
         d = sample.values
-        assert d[0] == pytest.approx(d[1], rel=1e-12)
-        assert d[2] == pytest.approx(2.0 * d[0], rel=1e-12)
+        assert d[0] == pytest.approx(d[1], rel=1e-12, abs=0)
+        assert d[2] == pytest.approx(2.0 * d[0], rel=1e-12, abs=0)
 
     def test_pair_count_and_sorting(self):
         sample = pairwise_distances(standardize(normal_dataset(20, 4, 3)))
@@ -127,7 +127,7 @@ class TestDistancePvalue:
     def test_median_two_dimensions(self):
         assert distance_pvalue(
             DistanceDistribution(2), TWO_SQRT_LN2, "lower"
-        ) == pytest.approx(0.5, rel=1e-13)
+        ) == pytest.approx(0.5, rel=1e-13, abs=0)
 
     def test_quantile_round_trip(self):
         law = DistanceDistribution(10)
@@ -189,7 +189,7 @@ class TestFitReport:
         assert report.k == 20.0
         assert report.n_pairs == 200 * 199 // 2
         assert report.dependence_caveat is True
-        assert report.mean_expected == pytest.approx(raw_moment(20, 1), rel=1e-14)
+        assert report.mean_expected == pytest.approx(raw_moment(20, 1), rel=1e-14, abs=0)
         assert 18.0 <= report.effective_dimension <= 22.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -231,8 +231,8 @@ class TestFitReport:
             "variance_observed",
             "effective_dimension",
         ):
-            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12)
-        assert a.ks.statistic == pytest.approx(b.ks.statistic, rel=1e-9)
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12, abs=0)
+        assert a.ks.statistic == pytest.approx(b.ks.statistic, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("values", [
         [0.0, 1e154, 2e154] + [1.0] * 26,
@@ -256,11 +256,19 @@ class TestFitReport:
         with pytest.raises(ValueError, match="variance exceeds the double range"):
             sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
 
+    def test_mean_past_sum_overflow_is_value_error(self):
+        # The sum overflows, the mean does not; no dimension has a mean
+        # whose square overflows.
+        sample = EmpiricalSample(np.array([1.7e308, 1e308]), k=3.0, source=SampleSource.EXTERNAL)
+        with pytest.raises(ValueError, match=r"1\.35e\+308 is too large: its square overflows"):
+            sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
+
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
     def test_variance_below_overflow_is_numpys(self, scale):
         values = scale * np.random.default_rng(4).uniform(0.0, 3.0, 500)
         sample = EmpiricalSample(values, k=3.0, source=SampleSource.EXTERNAL)
         report = sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
+        assert report.mean_observed == float(np.mean(sample.values))
         assert report.variance_observed == float(np.var(sample.values, ddof=1))
 
     def test_json_round_trip(self):

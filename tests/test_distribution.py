@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erfinv
 from scipy.stats import chi
 
-from gaussdist.distribution import DistanceDistribution, pdf_1d
+from gaussdist.distribution import DistanceDistribution
 from gaussdist.montecarlo import SampleSource, ecdf, ks_one_sample, ks_two_sample, simulate_pairs
 from gaussdist.moments import central_moment, raw_moment
 
@@ -38,7 +38,7 @@ class TestConstruction:
 class TestPdf:
     def test_one_dimension_at_origin(self):
         assert DistanceDistribution(1).pdf(0.0) == pytest.approx(
-            INV_SQRT_PI, rel=1e-15
+            INV_SQRT_PI, rel=1e-15, abs=0
         )
 
     def test_vanishes_at_origin_above_one_dimension(self):
@@ -48,7 +48,7 @@ class TestPdf:
     def test_two_dimensions_closed_form(self):
         # 2^-1 e^-1 * 2 / Gamma(1) = 1/e
         assert DistanceDistribution(2).pdf(2.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-13
+            math.exp(-1.0), rel=1e-13, abs=0
         )
 
     def test_rejects_negative_distance(self):
@@ -83,24 +83,24 @@ class TestPdf:
 
 
 class TestPdf1d:
+    """The k = 1 law: the absolute difference of two standard Gaussians."""
+
     def test_matches_direct_formula(self):
         for x in (0.0, 0.5, 1.0, 2.0, 4.0):
-            assert pdf_1d(x) == math.exp(-x * x / 4.0) / math.sqrt(math.pi)
+            assert DistanceDistribution(1).pdf(x) == math.exp(-x * x / 4.0) / math.sqrt(math.pi)
 
     def test_value_at_two(self):
-        assert pdf_1d(2.0) == pytest.approx(0.20755374871029736, rel=1e-14)
-
-    def test_bitwise_identical_to_k1_pdf(self):
-        xs = np.linspace(0.0, 8.0, 1000)
-        assert np.array_equal(pdf_1d(xs), DistanceDistribution(1).pdf(xs))
+        assert DistanceDistribution(1).pdf(2.0) == pytest.approx(
+            0.20755374871029736, rel=1e-14, abs=0
+        )
 
     def test_normalizes(self):
-        total, _ = quad(pdf_1d, 0.0, 50.0, epsabs=1e-12, epsrel=1e-12)
+        total, _ = quad(DistanceDistribution(1).pdf, 0.0, 50.0, epsabs=1e-12, epsrel=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            pdf_1d(-1.0)
+            DistanceDistribution(1).pdf(-1.0)
 
 
 class TestCdf:
@@ -109,7 +109,7 @@ class TestCdf:
 
     def test_two_dimensional_median(self):
         assert DistanceDistribution(2).cdf(TWO_SQRT_LN2) == pytest.approx(
-            0.5, rel=1e-13
+            0.5, rel=1e-13, abs=0
         )
 
     def test_monotone_and_bounded(self):
@@ -137,7 +137,7 @@ class TestCdf:
                 derivative = (law.cdf(r + h) - law.cdf(r - h)) / (2.0 * h)
             else:
                 derivative = (law.survival(r - h) - law.survival(r + h)) / (2.0 * h)
-            assert derivative == pytest.approx(law.pdf(r), rel=1e-6)
+            assert derivative == pytest.approx(law.pdf(r), rel=1e-6, abs=0)
 
 
 class TestSurvival:
@@ -146,7 +146,7 @@ class TestSurvival:
 
     def test_two_dimensional_tail(self):
         assert DistanceDistribution(2).survival(4.0) == pytest.approx(
-            math.exp(-4.0), rel=1e-13
+            math.exp(-4.0), rel=1e-13, abs=0
         )
 
     @pytest.mark.parametrize("k", [1, 2, 5.5, 40, 400])
@@ -219,7 +219,7 @@ class TestQuantile:
         # 2 erfinv(p) stays representable at p = 1e-300 where chi.ppf
         # rounds to 0.
         expected = 2.0 * erfinv(p) if k == 1 else chi.ppf(p, k, scale=math.sqrt(2.0))
-        assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13)
+        assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_domain_errors(self, p):
@@ -241,7 +241,7 @@ class TestLargeDimension:
         for r in (m1 - 2.0, m1, m1 + 2.0):
             if r > 0.0:
                 assert DistanceDistribution(k).pdf(r) == pytest.approx(
-                    float(reference_pdf(k, r)), rel=rel
+                    float(reference_pdf(k, r)), rel=rel, abs=0
                 )
 
     @pytest.mark.parametrize("k", [1e8, 1e12, 1e20, 1e30])
@@ -260,8 +260,8 @@ class TestLargeDimension:
         cdf, sf = law.cdf(rs), law.survival(rs)
         for r, c, s in zip(rs, cdf, sf):
             p_ref, q_ref = reference_gamma_pq(k / 2.0, r**2 / 4.0)
-            assert c == pytest.approx(float(p_ref), rel=1e-12)
-            assert s == pytest.approx(float(q_ref), rel=1e-12)
+            assert c == pytest.approx(float(p_ref), rel=1e-12, abs=0)
+            assert s == pytest.approx(float(q_ref), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", [1e4, 1e5, 1e6, 1e8])
     def test_quantile_inverts_the_reference_cdf(self, k):
@@ -269,7 +269,7 @@ class TestLargeDimension:
         for p in (0.001, 0.5, 0.999):
             r = law.quantile(p)
             p_ref, _ = reference_gamma_pq(k / 2.0, r**2 / 4.0)
-            assert float(p_ref) == pytest.approx(p, rel=1e-10)
+            assert float(p_ref) == pytest.approx(p, rel=1e-10, abs=0)
 
 
 class TestSampler:

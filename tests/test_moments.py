@@ -29,15 +29,15 @@ def quad_upper(k):
 
 class TestRawMoments:
     def test_first_moment_one_dimension(self):
-        assert raw_moment(1, 1) == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13)
+        assert raw_moment(1, 1) == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.7, 10.0, 1e3, 1e6])
     def test_second_moment_is_twice_k(self, k):
-        assert raw_moment(k, 2) == pytest.approx(2.0 * k, rel=1e-12)
+        assert raw_moment(k, 2) == pytest.approx(2.0 * k, rel=1e-12, abs=0)
 
     def test_third_moment_four_dimensions(self):
         # 8 Gamma(7/2) / Gamma(2) = 8 * (15/8) sqrt(pi) = 15 sqrt(pi)
-        assert raw_moment(4, 3) == pytest.approx(15.0 * math.sqrt(math.pi), rel=1e-13)
+        assert raw_moment(4, 3) == pytest.approx(15.0 * math.sqrt(math.pi), rel=1e-13, abs=0)
 
     def test_rejects_zeroth_moment(self):
         with pytest.raises(ValueError):
@@ -61,10 +61,10 @@ class TestRawMoments:
 
 class TestCentralMoments:
     def test_variance_one_dimension(self):
-        assert central_moment(1, 2) == pytest.approx(2.0 - 4.0 / math.pi, rel=1e-12)
+        assert central_moment(1, 2) == pytest.approx(2.0 - 4.0 / math.pi, rel=1e-12, abs=0)
 
     def test_variance_two_dimensions(self):
-        assert central_moment(2, 2) == pytest.approx(4.0 - math.pi, rel=1e-12)
+        assert central_moment(2, 2) == pytest.approx(4.0 - math.pi, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 2.5])
     def test_rejects_unsupported_order(self, n):
@@ -76,7 +76,7 @@ class TestCentralMoments:
     def test_quadrature_equivalence_central(self, k, n):
         law = DistanceDistribution(k)
         numeric = quad_moment(law.pdf, n, raw_moment(k, 1), quad_upper(k))
-        assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8)
+        assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8, abs=0)
 
     def test_quadrature_equivalence_every_k_to_fifty(self):
         for k in range(1, 51):
@@ -85,21 +85,21 @@ class TestCentralMoments:
             mean = raw_moment(k, 1)
             for n in (2, 3, 4):
                 numeric = quad_moment(law.pdf, n, mean, upper)
-                assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8)
+                assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("k", QUAD_K_SET)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_quadrature_equivalence_raw(self, k, n):
         law = DistanceDistribution(k)
         numeric = quad_moment(law.pdf, n, 0.0, quad_upper(k))
-        assert raw_moment(k, n) == pytest.approx(numeric, rel=1e-8)
+        assert raw_moment(k, n) == pytest.approx(numeric, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 15, 30])
     def test_direct_gamma_expressions(self, k):
         # The chi identities on the variance deficit must agree with the
         # direct gamma-function expressions for mu3 and mu4.
-        assert central_moment(k, 3) == pytest.approx(closed_form_mu3(k), rel=1e-10)
-        assert central_moment(k, 4) == pytest.approx(closed_form_mu4(k), rel=1e-10)
+        assert central_moment(k, 3) == pytest.approx(closed_form_mu3(k), rel=1e-10, abs=0)
+        assert central_moment(k, 4) == pytest.approx(closed_form_mu4(k), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2, 5.5, 20, 64, 100, 1000])
     def test_binomial_consistency(self, k):
@@ -113,7 +113,7 @@ class TestCentralMoments:
         # TestLargeKShapeMoments holds it to mpmath instead.
         err3 = 1e-13 * (m[2] + 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
         err4 = 1e-13 * (m[3] + 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] + 3.0 * m[0] ** 4)
-        assert central_moment(k, 2) == pytest.approx(mu2, rel=1e-9)
+        assert central_moment(k, 2) == pytest.approx(mu2, rel=1e-9, abs=0)
         assert central_moment(k, 3) == pytest.approx(mu3, rel=1e-9, abs=err3)
         assert central_moment(k, 4) == pytest.approx(mu4, rel=1e-9, abs=err4)
 
@@ -142,7 +142,7 @@ class TestCentralMoments:
 class TestShapeStatistics:
     def test_skewness_is_ratio(self):
         assert skewness(1) == pytest.approx(
-            central_moment(1, 3) / central_moment(1, 2) ** 1.5, rel=1e-14
+            central_moment(1, 3) / central_moment(1, 2) ** 1.5, rel=1e-14, abs=0
         )
 
     def test_skewness_positive_and_decreasing(self):
@@ -155,7 +155,7 @@ class TestShapeStatistics:
 
     def test_kurtosis_is_dimensionless_ratio(self):
         assert kurtosis(3) == pytest.approx(
-            central_moment(3, 4) / central_moment(3, 2) ** 2, rel=1e-14
+            central_moment(3, 4) / central_moment(3, 2) ** 2, rel=1e-14, abs=0
         )
 
     def test_kurtosis_tends_to_three(self):
@@ -172,11 +172,11 @@ class TestShapeStatistics:
         k = 3
         law = DistanceDistribution(k)
         mu4_numeric = quad_moment(law.pdf, 4, raw_moment(k, 1), quad_upper(k))
-        assert closed_form_mu4(k) == pytest.approx(mu4_numeric, rel=1e-8)
-        assert kurtosis(k) != pytest.approx(closed_form_mu4(k), rel=1e-2)
+        assert closed_form_mu4(k) == pytest.approx(mu4_numeric, rel=1e-8, abs=0)
+        assert kurtosis(k) != pytest.approx(closed_form_mu4(k), rel=1e-2, abs=0)
         assert kurtosis(k) == pytest.approx(
             mu4_numeric / quad_moment(law.pdf, 2, raw_moment(k, 1), quad_upper(k)) ** 2,
-            rel=1e-8,
+            rel=1e-8, abs=0,
         )
 
 
@@ -184,18 +184,18 @@ class TestMomentSet:
     def test_two_dimensions(self):
         ms = moment_set(2)
         assert ms.raw[1] == 4.0
-        assert ms.central[0] == pytest.approx(4.0 - math.pi, rel=1e-12)
+        assert ms.central[0] == pytest.approx(4.0 - math.pi, rel=1e-12, abs=0)
 
     def test_second_raw_moment_identity(self):
-        assert moment_set(10).raw[1] == pytest.approx(20.0, rel=1e-14)
+        assert moment_set(10).raw[1] == pytest.approx(20.0, rel=1e-14, abs=0)
 
     def test_first_raw_moment_one_dimension(self):
-        assert moment_set(1).raw[0] == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13)
+        assert moment_set(1).raw[0] == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3.5, 12, 64, 1000])
     def test_internal_consistency(self, k):
         ms = moment_set(k)
-        assert ms.central[0] == pytest.approx(ms.raw[1] - ms.raw[0] ** 2, rel=1e-10)
+        assert ms.central[0] == pytest.approx(ms.raw[1] - ms.raw[0] ** 2, rel=1e-10, abs=0)
         assert ms.skewness == ms.central[1] / ms.central[0] ** 1.5
         assert ms.kurtosis == ms.central[2] / ms.central[0] ** 2
         assert ms.central[0] > 0.0 and ms.central[2] > 0.0 and ms.kurtosis > 0.0

@@ -9,48 +9,19 @@ from scipy.special import gammainc, gammaln
 
 from gaussdist import specfun
 from gaussdist.distribution import DistanceDistribution
+from gaussdist.moments import raw_moment
 from gaussdist.specfun import (
     _TEMME_COEF,
     ConvergenceError,
-    gamma_shift_ratio,
-    log_gamma,
     reg_gamma_p,
     reg_gamma_q,
 )
 
 from _oracles import (
-    LN_120,
-    LN_SQRT_PI,
     Q_2P5_2P0,
     RATIO_50P5_50,
     reference_gamma_pq,
 )
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(LN_SQRT_PI, rel=1e-14)
-
-    def test_factorial_value(self):
-        # Gamma(6) = 5! by the recursion Gamma(n+1) = n Gamma(n)
-        assert log_gamma(6.0) == pytest.approx(LN_120, rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-    def test_accuracy_against_reference(self):
-        xs = np.concatenate(
-            [np.linspace(0.5, 5.0, 300), np.geomspace(5.0, 1e6, 300)]
-        )
-        ref = gammaln(xs)
-        got = np.array([log_gamma(x) for x in xs])
-        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
-        assert np.max(err) <= 1e-13
 
 
 def both_paths(x):
@@ -65,16 +36,16 @@ class TestRegularizedGamma:
 
     def test_q_exponential_case(self):
         # For a = 1 the upper function is exactly exp(-x).
-        assert reg_gamma_q(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        assert reg_gamma_q(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13, abs=0)
 
     def test_q_high_precision_value(self):
-        assert reg_gamma_q(2.5, 2.0) == pytest.approx(Q_2P5_2P0, rel=1e-12)
+        assert reg_gamma_q(2.5, 2.0) == pytest.approx(Q_2P5_2P0, rel=1e-12, abs=0)
 
     def test_p_at_zero(self):
         assert reg_gamma_p(3.0, 0.0) == 0.0
 
     def test_p_exponential_case(self):
-        assert reg_gamma_p(1.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-13)
+        assert reg_gamma_p(1.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 50.0, 200.0])
     def test_complementarity(self, a):
@@ -96,7 +67,7 @@ class TestRegularizedGamma:
         for x in (0.1, 0.5 * a, a, 2.0 * a):
             lhs = reg_gamma_p(a + 1.0, x)
             rhs = reg_gamma_p(a, x) - math.exp(
-                a * math.log(x) - x - log_gamma(a + 1.0)
+                a * math.log(x) - x - math.lgamma(a + 1.0)
             )
             assert lhs == pytest.approx(rhs, abs=1e-11)
 
@@ -280,17 +251,21 @@ class TestPointwisePath:
             assert type(reg_gamma_q(30.0, x)) is float
 
 
-class TestGammaRatio:
-    def test_identity_ratio(self):
-        assert gamma_shift_ratio(5.0, 0.0) == 1.0
+def gamma_shift_ratio(x, shift):
+    """Gamma(x + shift)/Gamma(x) for x >= 1/2 and a whole or half-integer
+    shift, read off the raw moment 2^n Gamma(x + n/2)/Gamma(x) at k = 2x."""
+    n = round(2 * shift)
+    return raw_moment(2.0 * x, n) / 2.0**n
 
+
+class TestGammaRatio:
     def test_half_step_small(self):
         assert gamma_shift_ratio(1.0, 0.5) == pytest.approx(
-            math.sqrt(math.pi) / 2.0, rel=1e-13
+            math.sqrt(math.pi) / 2.0, rel=1e-13, abs=0
         )
 
     def test_high_precision_value(self):
-        assert gamma_shift_ratio(50.0, 0.5) == pytest.approx(RATIO_50P5_50, rel=1e-12)
+        assert gamma_shift_ratio(50.0, 0.5) == pytest.approx(RATIO_50P5_50, rel=1e-12, abs=0)
 
     def test_integer_offset_is_exact(self):
         for x in (0.5, 1.0, 17.0, 5e5):
@@ -318,19 +293,14 @@ class TestGammaRatio:
         assert (x + 1.5) - x != 1.5
         assert gamma_shift_ratio(x, 1.5) == gamma_shift_ratio(x, 0.5) * (x + 0.5)
         assert gamma_shift_ratio(x, 1.5) == pytest.approx(
-            math.exp(gammaln(x + 1.5) - gammaln(x)), rel=1e-11
+            math.exp(gammaln(x + 1.5) - gammaln(x)), rel=1e-11, abs=0
         )
 
     def test_mixed_offset_matches_scipy(self):
-        # Gamma(7.5)/Gamma(2): a half step below x = 64, then five exact steps.
+        # Gamma(7.5)/Gamma(2): a half step, then five exact steps.
         assert gamma_shift_ratio(2.0, 5.5) == pytest.approx(
-            math.exp(gammaln(7.5) - gammaln(2.0)), rel=1e-14
+            math.exp(gammaln(7.5) - gammaln(2.0)), rel=1e-14, abs=0
         )
-
-    @pytest.mark.parametrize("x,shift", [(0.0, 1.0), (1.0, -0.5), (-1.0, 2.0), (math.nan, 1.0)])
-    def test_domain_errors(self, x, shift):
-        with pytest.raises(ValueError):
-            gamma_shift_ratio(x, shift)
 
 
 class TestGammaIdentities:
@@ -339,10 +309,10 @@ class TestGammaIdentities:
         # prod_{m=1}^{k-2} Gamma((m+1)/2)/Gamma(m/2+1) telescopes to
         # 1/Gamma(k/2); verified in log space.
         log_prod = sum(
-            log_gamma((m + 1) / 2.0) - log_gamma(m / 2.0 + 1.0)
+            math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0 + 1.0)
             for m in range(1, k - 1)
         )
-        value = math.exp(log_prod + log_gamma(k / 2.0))
+        value = math.exp(log_prod + math.lgamma(k / 2.0))
         assert value == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("m", range(1, 11))
@@ -351,7 +321,7 @@ class TestGammaIdentities:
         numeric, _ = quad(lambda t: math.sin(t) ** m, 0.0, math.pi / 2.0)
         closed = (
             math.sqrt(math.pi)
-            * math.exp(log_gamma((m + 1) / 2.0) - log_gamma(m / 2.0 + 1.0))
+            * math.exp(math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0 + 1.0))
             / 2.0
         )
         assert numeric == pytest.approx(closed, abs=1e-9)
