@@ -22,6 +22,7 @@ from .montecarlo import (
     EmpiricalSample,
     KsResult,
     SampleSource,
+    _check_array_size,
     _integer_dimension,
     _substream,
     ks_one_sample,
@@ -102,8 +103,11 @@ def pairwise_distances(data: DatasetMatrix) -> EmpiricalSample:
     sq = np.sum(x**2, axis=1)
     gram = x @ x.T
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    iu = np.triu_indices(data.rows, k=1)
-    values = np.sqrt(np.maximum(d2[iu], 0.0))
+    # A boolean mask keeps the row-major order of triu_indices without
+    # its two int64 index arrays of rows*(rows-1)/2 entries.
+    values = d2[np.triu(np.ones((data.rows, data.rows), dtype=bool), 1)]
+    np.maximum(values, 0.0, out=values)
+    np.sqrt(values, out=values)
     return EmpiricalSample(values, k=float(data.cols), source=SampleSource.EXTERNAL)
 
 
@@ -280,6 +284,7 @@ def relative_contrast_curve(
         raise ValueError("need at least one dimension")
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
+    _check_array_size(n_points, max(ks))
     rows = []
     for k in ks:
         rng = _substream(seed, k)

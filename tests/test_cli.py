@@ -834,24 +834,38 @@ def test_benchmark_hook_names_stay_public():
 
 
 class TestAllocationFailure:
-    """A MemoryError from a large --k exits 3 with numpy's message."""
+    """An array above 1 GiB is a usage error; a MemoryError below it exits 3."""
 
     @pytest.mark.parametrize(
         "name,argv",
         [
-            ("simulate_pairs", ["sample", "--k", "100000000", "--n", "1000", "--method", "direct"]),
-            ("relative_contrast_curve", ["contrast", "--k", "10000000", "--n", "100", "--seeds", "1"]),
+            ("simulate_pairs", ["sample", "--k", "500000", "--n", "1000", "--method", "direct"]),
+            ("relative_contrast_curve", ["contrast", "--k", "1000000", "--n", "100", "--seeds", "1"]),
         ],
     )
     def test_numpy_refusal_is_one_error_line(self, capsys, monkeypatch, name, argv):
         # Stands in for numpy refusing a large --k; nothing is allocated.
-        message = "Unable to allocate 7.45 GiB for an array with shape (100, 10000000)"
+        message = "Unable to allocate 763. MiB for an array with shape (100, 1000000)"
 
         def refuse(*args, **kwargs):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, name, refuse)
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,shape",
+        [
+            (["sample", "--k", "600000", "--n", "1000", "--method", "direct"], "256 x 600000"),
+            (["contrast", "--k", "3,10000000", "--n", "100", "--seeds", "1"], "100 x 10000000"),
+        ],
+    )
+    def test_array_above_the_limit_is_a_usage_error(self, capsys, argv, shape):
+        # Refused by size before anything is allocated.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: a {shape} array of doubles needs ")
+        assert err.endswith(" GiB, above the 1 GiB limit\n") and err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -316,3 +316,16 @@ class TestRelativeContrast:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             relative_contrast_curve([0], 10, 0)
+
+    def test_refuses_an_array_above_one_gibibyte(self):
+        # 100 x 10^7 doubles is 7.45 GiB; refused before the k = 2 row is drawn.
+        with pytest.raises(ValueError, match="100 x 10000000 array"):
+            relative_contrast_curve([2, 10**7], 100, 0)
+
+    def test_array_limit_is_inclusive(self, monkeypatch):
+        from gaussdist import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 20 * 5)
+        assert len(relative_contrast_curve([5], 20, 0)) == 1
+        with pytest.raises(ValueError, match="GiB limit"):
+            relative_contrast_curve([5], 21, 0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussdist import montecarlo
 from gaussdist.distribution import DistanceDistribution
 from gaussdist.montecarlo import (
     EmpiricalSample,
@@ -89,6 +90,18 @@ class TestSimulatePairs:
         with pytest.raises(ValueError):
             simulate_pairs(2, 10, -3)
 
+    def test_refuses_a_block_above_one_gibibyte(self):
+        # 256 rows x 524289 columns x 8 bytes is just over 2^30; refused
+        # before anything is allocated.
+        with pytest.raises(ValueError, match="GiB limit"):
+            simulate_pairs(2**30 // 2048 + 1, 1000, 0)
+
+    def test_array_limit_counts_the_rows_drawn(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 10 * 3)
+        assert simulate_pairs(3, 10, 0).n == 10
+        with pytest.raises(ValueError, match="11 x 3 array"):
+            simulate_pairs(3, 11, 0)
+
 
 class TestEcdf:
     def test_below_minimum(self):
@@ -137,6 +150,102 @@ class TestKsOneSample:
         sample = simulate_pairs(2, 100, 0)
         with pytest.raises(ValueError):
             ks_one_sample(sample, DistanceDistribution(3))
+
+    @staticmethod
+    def all_values_statistic(sample, law):
+        n = sample.n
+        cdf = np.atleast_1d(law.cdf(sample.values))
+        steps = np.arange(1, n + 1) / n
+        return float(max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))))
+
+    @pytest.mark.parametrize(
+        "sweep,factor,ties",
+        [(0, 1.0, False), (1, 1.05, False), (2, 1.0 + 1e-12, False), (3, 1.0, True)],
+        ids=["null", "off_5_percent", "off_1e-12", "ties"],
+    )
+    def test_bracketed_statistic_is_the_all_values_statistic(self, sweep, factor, ties):
+        # k log-uniform in [1, 1e305], n in [4096, 6e4]; the sample is drawn
+        # at k * factor, or rounded to 0.1 (k <= 1e3) so that runs of ties appear.
+        rng = np.random.default_rng(sweep)
+        for seed in range(6):
+            k = float(10 ** rng.uniform(0.0, 3.0 if ties else 305.0))
+            n = int(10 ** rng.uniform(math.log10(4096), math.log10(6e4)))
+            law = DistanceDistribution(k)
+            values = DistanceDistribution(k * factor).sample(n, seed).values
+            if ties:
+                values = np.round(values, 1)
+            sample = external_sample(values, k)
+            expected = self.all_values_statistic(sample, law)
+            assert ks_one_sample(sample, law).statistic == expected, (k, n)
+
+    def test_pairwise_sample_matches_all_values_statistic(self):
+        from gaussdist.diagnostics import DatasetMatrix, pairwise_distances, standardize
+
+        data = np.random.default_rng(4).standard_normal((150, 8))
+        sample = pairwise_distances(standardize(DatasetMatrix(data)))
+        assert sample.n > 4096
+        law = DistanceDistribution(8)
+        assert ks_one_sample(sample, law).statistic == self.all_values_statistic(sample, law)
+
+    @pytest.mark.parametrize(
+        "runs,top,maximum",
+        [
+            # F - below peaks at 10, the first interior index of block (9, 18).
+            ({(9, 10): 17.0, (10, 19): 19.5, (27, 36): 36.0}, None, 9.5),
+            # steps - F peaks at 17, the last interior index of block (9, 18).
+            ({(9, 18): 8.5, (18, 19): 18.0, (28, 37): 28.0}, None, 9.5),
+            # steps - F peaks at n - 2, the last interior index of the last block.
+            ({(4090, 4095): 4090.5}, 1e3, 4.5),
+        ],
+        ids=["first_in_block", "last_in_block", "last_before_top"],
+    )
+    def test_maximum_at_the_edge_of_a_block(self, runs, top, maximum):
+        # Exact quantiles (i + 0.5)/n of the k = 2 law, F(r) = 1 - exp(-r^2/4),
+        # deviate by 0.5/n everywhere.  At n = 4096 the stride is 9 (knots 0,
+        # 9, ..., 4086, 4095).  Runs of tied values (cdf values in units of
+        # 1/n) put the maximum where one side's block bound is exact and the
+        # other's is below 9/n, the deviation at knot 27 or 36; a bound even
+        # 1/n tighter would drop the block.
+        n = 4096
+        p = (np.arange(n) + 0.5) / n
+        for (start, stop), at in runs.items():
+            p[start:stop] = at / n
+        values = 2.0 * np.sqrt(-np.log1p(-p))
+        if top is not None:
+            values[-1] = top
+        sample, law = external_sample(values, 2), DistanceDistribution(2)
+        statistic = ks_one_sample(sample, law).statistic
+        assert statistic == self.all_values_statistic(sample, law)
+        assert statistic == pytest.approx(maximum / n, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4095, 4096])
+    def test_both_sides_of_the_bracketing_threshold(self, n):
+        law = DistanceDistribution(7)
+        sample = law.sample(n, 3)
+        assert ks_one_sample(sample, law).statistic == self.all_values_statistic(sample, law)
+
+    class CountingLaw:
+        def __init__(self, law):
+            self.k = law.k
+            self.cdf_sizes = []
+            self._law = law
+
+        def cdf(self, r):
+            self.cdf_sizes.append(int(np.size(r)))
+            return self._law.cdf(r)
+
+    def test_large_sample_evaluates_a_small_share(self):
+        n = 10**5
+        law = self.CountingLaw(DistanceDistribution(12))
+        sample = DistanceDistribution(12).sample(n, 5)
+        ks_one_sample(sample, law)
+        assert sum(law.cdf_sizes) < 0.15 * n
+
+    def test_small_sample_takes_one_call_over_all_values(self):
+        n = 4095
+        law = self.CountingLaw(DistanceDistribution(12))
+        ks_one_sample(DistanceDistribution(12).sample(n, 5), law)
+        assert law.cdf_sizes == [n]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 50])
     def test_pass_rate_across_seeds(self, k):
