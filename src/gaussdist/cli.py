@@ -3,8 +3,9 @@
 Exit codes: 0 success (and KS pass for `test`), 1 statistical failure,
 2 usage error (including a dimension k past the point where
 log Gamma(k/2) overflows, about 5.1e305, and a fractional `contrast`
-dimension), 3 I/O or parse error, a computation that did not converge,
-or an allocation that failed (numpy's MemoryError).  Every command is
+dimension), 3 I/O or parse error (a bad k in a `test` sample file's
+header included), a computation that did not converge, or an
+allocation that failed (numpy's MemoryError).  Every command is
 deterministic given its full argument list; there are no hidden entropy
 sources and results never depend on --threads.
 
@@ -242,7 +243,8 @@ def _bad_sample_line(path, text: str) -> DataError:
 def _cmd_test(args) -> int:
     values, header = _read_sample_file(args.sample_file)
     k = args.k
-    if k is None and "k" in header:
+    from_header = k is None and "k" in header
+    if from_header:
         try:
             k = float(header["k"])
         except ValueError:
@@ -256,6 +258,9 @@ def _cmd_test(args) -> int:
     try:
         law = DistanceDistribution(k)
     except ValueError as exc:
+        # A k read from the file is bad data, not a bad argument.
+        if from_header:
+            raise DataError(f"{args.sample_file}: bad k in header: {exc}") from exc
         raise UsageError(str(exc)) from exc
     try:
         report = sample_fit_report(sample, law, dependence_caveat=False)

@@ -140,12 +140,33 @@ class DistanceDistribution:
         h = 1/(9a), a = k/2, raised in the lower tail to the root of
         the bound cdf <= (r^2/4)^a / Gamma(a + 1), which is the quantile
         itself once its relative error, under r^2/4, is below rounding.
+
+        Where the spacing of doubles at the mean sqrt(2k) is at least 1/16
+        (k above about 4e28), the law's sd, under 1, spans at most 16 of
+        them, and Newton's rounding exits can land on either side of the
+        root, out of order in p.  There the answer is the smallest double
+        r with cdf(r) >= p, found by bisection on cdf from one bracket for
+        every p, so it is monotone in p by construction.
         """
         p = float(p)
         if not (0.0 <= p < 1.0) or math.isnan(p):
             raise ValueError(f"quantile requires 0 <= p < 1, got {p}")
         if p == 0.0:
             return 0.0
+        mean = 2.0 * math.sqrt(0.5 * self.k)
+        if math.ulp(mean) >= 0.0625:
+            # 40 from the mean, more than 56 sd, cdf is 0 below and
+            # survival 0 above, so the bracket holds every 0 < p < 1.
+            width = 40.0 + 2.0 * math.ulp(mean)
+            lo, hi = mean - width, mean + width
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    return hi
+                if self.cdf(mid) < p:
+                    lo = mid
+                else:
+                    hi = mid
         upper = p > 0.5
         target = 1.0 - p if upper else p
         tail = self.survival if upper else self.cdf
@@ -185,8 +206,7 @@ class DistanceDistribution:
             if not lo < candidate < hi:
                 candidate = 0.5 * (lo + hi) if hi < math.inf else 2.0 * r
                 if hi < math.inf and not lo < candidate < hi:
-                    # No double inside the bracket (the law is narrower
-                    # than their spacing past k ~ 1e32): hi is the answer.
+                    # No double inside the bracket: hi is the answer.
                     return hi
             r = candidate
         if abs(err) <= 1e-10:

@@ -18,11 +18,10 @@ P + Q == 1 holds to machine precision by construction.
 A scalar x, or an array of at most ``_POINTWISE_MAX`` (16) points, is
 evaluated one Python float at a time (``_reg_gamma_points``), where
 numpy's per-call cost would dominate; longer arrays run in vectorized
-lanes.  The per-point code does a lane's operations in the same order
-and calls numpy for the same transcendental steps, so the two give the
-same bits.  Both paths pick Temme's regime by one rule
-(``_in_temme_window``) and run one body of it (``_temme_tail``), which
-takes a float or an array.
+lanes.  Both paths pick the regime by one rule (``_in_temme_window``,
+then x < a + 1), and each regime has one body that takes a float or an
+array (``_temme_tail``, ``_lower_series``, ``_upper_continued_fraction``),
+so the two give the same bits.
 
 The Temme coefficients d[k][n] (``_TEMME_COEF``) are the Taylor
 coefficients in eta of c_k(eta), DLMF §8.12.  They were generated in
@@ -213,68 +212,81 @@ def _log_gamma_density(a: float, x, log_x, peak: float):
     return (log_ratio - sigma) * a + peak
 
 
-def _stalled(method: str, a: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"incomplete gamma {method} did not converge for a={a} "
-        f"within {_MAX_ITERATIONS} iterations"
-    )
+def _lower_series(a: float, x, peak: float):
+    """P(a, x) by the power series; requires 0 < x < a + 1 elementwise.
 
-
-def _lower_series(a: float, x: np.ndarray, peak: float) -> np.ndarray:
-    """P(a, x) by the power series; requires 0 < x < a + 1 elementwise."""
+    x is a float or an array, evaluated elementwise; each array lane
+    stops at its own convergence point, so it gives the bits of a float.
+    """
+    scalar = isinstance(x, float)
     # The 0.1 factor on the termination tests keeps the final error an
     # order of magnitude inside _REL_TOLERANCE (the stopping increment
     # only bounds the remaining tail up to the contraction ratio).
     stop = 0.1 * _REL_TOLERANCE
-    term = np.ones_like(x)
-    total = np.ones_like(x)
+    term, total = (1.0, 1.0) if scalar else (np.ones_like(x), np.ones_like(x))
     rate = a
     for _ in range(_MAX_ITERATIONS):
         rate += 1.0
         term *= x / rate
         total += term
         live = term > stop * total
-        if not live.any():
+        if scalar:
+            if not live:
+                break
+        elif live.any():
+            # A converged lane adds nothing more, so it ends where a float breaks.
+            term *= live
+        else:
             break
-        # A converged lane adds nothing more, so it ends as the per-point path does.
-        term *= live
     else:
-        raise _stalled("series", a)
-    return total * np.exp(_log_gamma_density(a, x, np.log(x), peak)) / a
+        raise ConvergenceError(
+            f"incomplete gamma series did not converge for a={a} "
+            f"within {_MAX_ITERATIONS} iterations"
+        )
+    density = np.exp(_log_gamma_density(a, x, np.log(x), peak))
+    return total * (float(density) if scalar else density) / a
 
 
-def _upper_continued_fraction(a: float, x: np.ndarray, peak: float) -> np.ndarray:
+def _upper_continued_fraction(a: float, x, peak: float):
     """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
 
-    Gamma(a, x) e^x x^-a = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with
-    b_i = x + 1 - a + 2i and a_i = -i (i - a) (Thompson & Barnett 1986).
+    x is a float or an array, evaluated elementwise as in
+    ``_lower_series``.  Gamma(a, x) e^x x^-a =
+    1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with b_i = x + 1 - a + 2i and
+    a_i = -i (i - a) (Thompson & Barnett 1986).
     Lentz carries the ratios of successive numerators and denominators,
     which stay O(1), so nothing overflows even where x is near the float
     limit.  For x >= a + 1, b_i >= 2 (i + 1), and by induction on i both
     Lentz denominators stay at least b_i / 2, so neither comes near 0.
     """
+    scalar = isinstance(x, float)
     stop = 0.1 * _REL_TOLERANCE
     b = x + (1.0 - a)
     d = 1.0 / b
     # The leading term of the fraction is 0, so C starts at infinity.
-    c = np.full_like(x, np.inf)
-    h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
+    c = math.inf if scalar else np.full_like(x, np.inf)
+    h = d if scalar else d.copy()
+    done = False  # as an array index, selects no lane
     for i in range(1, _MAX_ITERATIONS + 1):
         an = -i * (i - a)
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = c * d
-        # A converged lane keeps its h, so it ends as the per-point path does.
-        delta[done] = 1.0
+        if not scalar:
+            # A converged lane keeps its h, so it ends where a float breaks.
+            delta[done] = 1.0
         h *= delta
-        done = np.abs(delta - 1.0) <= stop
-        if done.all():
+        done = abs(delta - 1.0) <= stop
+        if done if scalar else done.all():
             break
     else:
-        raise _stalled("continued fraction", a)
-    return h * np.exp(_log_gamma_density(a, x, np.log(x), peak))
+        raise ConvergenceError(
+            f"incomplete gamma continued fraction did not converge for a={a} "
+            f"within {_MAX_ITERATIONS} iterations"
+        )
+    density = np.exp(_log_gamma_density(a, x, np.log(x), peak))
+    return h * (float(density) if scalar else density)
 
 
 def _horner(coef, t):
@@ -348,17 +360,14 @@ def _temme_tail(a: float, x, coef: list[float]):
 
 
 def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[float]]:
-    """P and Q at each float x >= 0 of xs, by the operations of one array lane.
+    """P and Q at each float x >= 0 of xs, one point at a time.
 
-    Each branch repeats, on Python floats and in the same order, what
-    ``_reg_gamma_both``'s array code does to one lane, and calls numpy
-    for exactly the transcendental steps the array code calls it for, so
-    the results are the same bits.  What depends on a alone is formed
-    once per call.
+    Each point goes to the regime function its array lane would, with
+    a float for x, so the results are the same bits.  What depends on a
+    alone is formed once per call.
     """
     if not all(x >= 0.0 for x in xs):
         raise ValueError("incomplete gamma requires x >= 0")
-    stop = 0.1 * _REL_TOLERANCE
     peak = _log_density_peak(a)
     coef = None
     ps, qs = [], []
@@ -372,34 +381,10 @@ def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[floa
             tail, upper = _temme_tail(a, x, coef)
             p, q = (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
         elif x < a + 1.0:
-            term = total = 1.0
-            rate = a
-            for _ in range(_MAX_ITERATIONS):
-                rate += 1.0
-                term *= x / rate
-                total += term
-                if not term > stop * total:
-                    break
-            else:
-                raise _stalled("series", a)
-            p = total * float(np.exp(_log_gamma_density(a, x, float(np.log(x)), peak))) / a
+            p = _lower_series(a, x, peak)
             q = 1.0 - p
         else:
-            b = x + (1.0 - a)
-            d = h = 1.0 / b
-            c = math.inf
-            for i in range(1, _MAX_ITERATIONS + 1):
-                an = -i * (i - a)
-                b += 2.0
-                d = 1.0 / (an * d + b)
-                c = b + an / c
-                delta = c * d
-                h *= delta
-                if abs(delta - 1.0) <= stop:
-                    break
-            else:
-                raise _stalled("continued fraction", a)
-            q = h * float(np.exp(_log_gamma_density(a, x, float(np.log(x)), peak)))
+            q = _upper_continued_fraction(a, x, peak)
             p = 1.0 - q
         ps.append(p)
         qs.append(q)

@@ -146,8 +146,7 @@ class TestEval:
         rows = [[float(cell) for cell in line.split()] for line in out.getvalue().splitlines()]
         assert len(rows) == len(points)
         assert all(len(row) == 2 and all(map(math.isfinite, row)) for row in rows)
-        if which == "quantile" and log_k <= math.log(1e30):
-            # Past k ~ 1e30 adjacent p may come out one ulp out of order.
+        if which == "quantile":
             values = [value for _, value in sorted(rows)]
             assert values == sorted(values)
 
@@ -270,6 +269,21 @@ class TestTest:
         code, out, _ = run(capsys, "test", str(path))
         assert code == 0
         assert json.loads(out.splitlines()[-1])["k"] == 3.0
+
+    @pytest.mark.parametrize("k", ["nan", "0.5", "1e306"])
+    def test_header_dimension_the_law_refuses_is_data_error(self, capsys, tmp_path, k):
+        path = tmp_path / "sample.txt"
+        path.write_text(f"# k: {k}\n1.0\n2.0\n1.5\n")
+        code, out, err = run(capsys, "test", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: bad k in header: ") and err.count("\n") == 1
+
+    def test_argument_dimension_the_law_refuses_stays_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sample.txt"
+        path.write_text("# k: 3\n1.0\n2.0\n1.5\n")
+        code, out, err = run(capsys, "test", str(path), "--k", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_gross_mismatch_fails_with_status_one(self, capsys, tmp_path):
         path = self.make_sample(tmp_path, 2, 5000, 0, method="analytic")

@@ -244,13 +244,22 @@ class TestLargeDimension:
                     float(reference_pdf(k, r)), rel=rel, abs=0
                 )
 
-    @pytest.mark.parametrize("k", [1e8, 1e12, 1e20, 1e30])
+    @pytest.mark.parametrize("k", [1e8, 1e12, 1e20, 1e30, 2.8e31, 3.45e32, 1e100, 5e305])
     def test_quantile_monotone_in_p(self, k):
         law = DistanceDistribution(k)
-        ps = [1e-300, 1e-10, 0.001, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12]
+        ps = [5e-324, 1e-300, 1e-10, 0.001, 0.1, 0.5, 0.6, 0.9, 0.999, 1.0 - 1e-12,
+              1.0 - 2.0**-53]
         values = [law.quantile(p) for p in ps]
         assert values == sorted(values)
         assert values[0] < values[-1]
+
+    @pytest.mark.parametrize("k", [6.4e28, 2.8e31, 3.45e32, 1e100, 5e305])
+    def test_narrow_law_quantile_is_least_double_reaching_p(self, k):
+        # Where the law's sd spans at most 16 doubles near its mean.
+        law = DistanceDistribution(k)
+        for p in (5e-324, 1e-300, 0.001, 0.5, 0.6, 0.9, 1.0 - 2.0**-53):
+            r = law.quantile(p)
+            assert law.cdf(r) >= p > law.cdf(math.nextafter(r, 0.0)), p
 
     @pytest.mark.parametrize("k", [1e4, 1e5, 1e6])
     def test_cdf_and_survival_against_mpmath(self, k):

@@ -240,6 +240,22 @@ class TestPointwisePath:
         for s_row, l_row in zip(short, long):
             assert s_row.tolist() == l_row[:-1].tolist()
 
+    @pytest.mark.parametrize("regime,a,x", [
+        ("_temme_tail", 500.0, 480.0),
+        ("_lower_series", 30.0, 5.0),
+        ("_upper_continued_fraction", 30.0, 80.0),
+    ])
+    def test_each_regime_has_one_body(self, regime, a, x, monkeypatch):
+        reached = []
+        for name in ("_temme_tail", "_lower_series", "_upper_continued_fraction"):
+            body = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda *args, name=name, body=body:
+                                reached.append(name) or body(*args))
+        for points in (x, np.full(2 * specfun._POINTWISE_MAX + 1, x)):
+            reached.clear()
+            reg_gamma_p(a, points)
+            assert reached == [regime]
+
     def test_short_arrays_keep_their_shape(self):
         for xs in (np.empty((0, 3)), np.array([[1.0, 2.0], [3.0, 40.0]])):
             p, q = reg_gamma_p(30.0, xs), reg_gamma_q(30.0, xs)
