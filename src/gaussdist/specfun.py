@@ -204,11 +204,18 @@ def _log_gamma_density(a: float, x, log_x, peak: float):
     ulps near the peak, instead of a log(x) ulps.  Below x = a/2 sigma
     has lost the low bits of x/a, so log1p stops at sigma = -1/2 and
     log(2x/a) < 0 from log_x adds the rest; that also keeps the density
-    of an x that underflows when the caller has its logarithm.
+    of an x that underflows when the caller has its logarithm.  A float
+    stays on Python floats but for np.log1p, which rounds as the array
+    loop does (math.log1p does not).
     """
     sigma = (x - a) / a
-    below_half = np.maximum(log_x - math.log(0.5 * a), _LOG_DENSITY_FLOOR / a - 1.0)
-    log_ratio = np.log1p(np.maximum(sigma, -0.5)) + np.minimum(below_half, 0.0)
+    floor = _LOG_DENSITY_FLOOR / a - 1.0
+    if isinstance(x, float):
+        below_half = max(float(log_x) - math.log(0.5 * a), floor)
+        log_ratio = float(np.log1p(max(sigma, -0.5))) + min(below_half, 0.0)
+    else:
+        below_half = np.maximum(log_x - math.log(0.5 * a), floor)
+        log_ratio = np.log1p(np.maximum(sigma, -0.5)) + np.minimum(below_half, 0.0)
     return (log_ratio - sigma) * a + peak
 
 

@@ -605,6 +605,67 @@ class TestPlotData:
         assert code == 3
 
 
+class TestOutputFile:
+    """--output overwrites a file in place and cuts it to the new length."""
+
+    ARGV = ("eval", "--k", "3", "--which", "cdf", "--grid", "0:2:0.25")
+
+    def written(self, capsys, path):
+        assert run(capsys, *self.ARGV, "--output", str(path)) == (0, "", "")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("old_size", [0, 5, 100_000])
+    def test_old_content_of_any_length_is_replaced(self, capsys, tmp_path, old_size):
+        expected = self.written(capsys, tmp_path / "fresh.txt")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"x" * old_size)
+        assert self.written(capsys, out) == expected
+
+    def test_second_run_matches_a_fresh_file(self, capsys, tmp_path):
+        first = self.written(capsys, tmp_path / "out.txt")
+        assert self.written(capsys, tmp_path / "out.txt") == first
+        assert self.written(capsys, tmp_path / "fresh.txt") == first
+
+    def test_device_is_written(self, capsys):
+        assert run(capsys, *self.ARGV, "--output", os.devnull) == (0, "", "")
+
+    def test_directory_is_io_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self.ARGV, "--output", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        old_mask = os.umask(0o027)
+        try:
+            self.written(capsys, tmp_path / "out.txt")
+        finally:
+            os.umask(old_mask)
+        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o640
+
+    def test_hard_link_sees_the_new_content(self, capsys, tmp_path):
+        out, link = tmp_path / "out.txt", tmp_path / "link.txt"
+        out.write_bytes(b"old\n" * 1000)
+        os.link(out, link)
+        new = self.written(capsys, out)
+        assert link.read_bytes() == new
+
+    def test_failed_write_leaves_no_old_bytes(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old\n" * 1000)
+        real_write, calls = os.write, []
+
+        def write_half_then_fail(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(28, "No space left on device")
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(cli.os, "write", write_half_then_fail)
+        code, out_text, err = run(capsys, *self.ARGV, "--output", str(out))
+        assert (code, out_text, err) == (3, "", "error: [Errno 28] No space left on device\n")
+        assert len(calls) == 2 and out.read_bytes() == b""
+
+
 class TestContrast:
     def test_single_seed_single_dimension(self, capsys):
         code, out, _ = run(capsys, "contrast", "--k", "5", "--n", "30", "--seeds", "1")

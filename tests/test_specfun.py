@@ -256,6 +256,24 @@ class TestPointwisePath:
             reg_gamma_p(a, points)
             assert reached == [regime]
 
+    def test_log_density_float_matches_its_lane(self):
+        # x < a/2, where log_x carries the rest of log(2x/a); an x deep
+        # enough for the _LOG_DENSITY_FLOOR clamp; and x = 0 after
+        # underflow, with the finite log a pdf caller passes.
+        rng = np.random.default_rng(16)
+        for a in (0.5, 3.0, 20.0, 1e3, 1e7, 1e300):
+            xs = [a * f for f in (1e-9, 0.1, 0.49, 0.5, 1.0, 1.3, 4.0)]
+            xs += [float(np.nextafter(0.5 * a, 0.0)), 5e-324, 1.0]
+            xs += (a * 10.0 ** rng.uniform(-12.0, 1.0, 200)).tolist()
+            cases = [(x, float(np.log(x))) for x in xs]
+            cases += [(0.0, log_x) for log_x in (-800.0, -5000.0, -1e5)]
+            peak = specfun._log_density_peak(a)
+            for x, log_x in cases:
+                point = specfun._log_gamma_density(a, x, log_x, peak)
+                lane = specfun._log_gamma_density(a, np.array([x]), np.array([log_x]), peak)
+                assert type(point) is float
+                assert point.hex() == float(lane[0]).hex(), (a, x, log_x)
+
     def test_short_arrays_keep_their_shape(self):
         for xs in (np.empty((0, 3)), np.array([[1.0, 2.0], [3.0, 40.0]])):
             p, q = reg_gamma_p(30.0, xs), reg_gamma_q(30.0, xs)
