@@ -23,23 +23,13 @@ from .diagnostics import (
     standardize,
 )
 from .distribution import DistanceDistribution
-from .moments import (
-    MomentSet,
-    central_moment,
-    kurtosis,
-    moment_set,
-    raw_moment,
-    skewness,
-)
+from .moments import MomentSet, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     KsResult,
-    SampleMoments,
     SampleSource,
-    ecdf,
     ks_one_sample,
     ks_two_sample,
-    sample_moments,
     simulate_pairs,
 )
 from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
@@ -54,16 +44,12 @@ __all__ = [
     "FitReport",
     "KsResult",
     "MomentSet",
-    "SampleMoments",
     "SampleSource",
-    "central_moment",
     "distance_pvalue",
-    "ecdf",
     "effective_dimension",
     "fit_report",
     "ks_one_sample",
     "ks_two_sample",
-    "kurtosis",
     "moment_set",
     "pairwise_distances",
     "raw_moment",
@@ -71,8 +57,6 @@ __all__ = [
     "reg_gamma_q",
     "relative_contrast_curve",
     "sample_fit_report",
-    "sample_moments",
     "simulate_pairs",
-    "skewness",
     "standardize",
 ]

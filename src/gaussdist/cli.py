@@ -190,15 +190,12 @@ def _cmd_moments(args) -> int:
 # -- sample ---------------------------------------------------------------
 
 
-def _draw_sample(k: float, n: int, seed: int, method: str, threads: int) -> EmpiricalSample:
-    if method == "direct":
-        return simulate_pairs(k, n, seed, threads=threads)
-    return DistanceDistribution(k).sample(n, seed, threads=threads)
-
-
 def _cmd_sample(args) -> int:
     try:
-        sample = _draw_sample(args.k, args.n, args.seed, args.method, args.threads)
+        if args.method == "direct":
+            sample = simulate_pairs(args.k, args.n, args.seed, threads=args.threads)
+        else:
+            sample = DistanceDistribution(args.k).sample(args.n, args.seed, threads=args.threads)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines = [
@@ -468,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="tabulate pdf/cdf/survival/quantile values")
     p.add_argument("--k", type=float, required=True, help="dimension (real >= 1)")
     p.add_argument("--which", choices=("pdf", "cdf", "survival", "quantile"), required=True)
-    p.add_argument("--grid", help="evaluation grid start:stop:step")
-    p.add_argument("--at", help="explicit comma-separated evaluation points")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--grid", help="evaluation grid start:stop:step")
+    points.add_argument("--at", help="explicit comma-separated evaluation points")
     p.add_argument("--output", help="write rows here instead of stdout")
     p.set_defaults(func=_cmd_eval)
 

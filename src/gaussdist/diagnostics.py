@@ -177,26 +177,6 @@ class FitReport:
             "dependence_caveat": self.dependence_caveat,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FitReport":
-        ks = KsResult(
-            statistic=payload["ks_statistic"],
-            critical_value_01=payload["ks_critical_01"],
-            n_effective=float(payload["n_pairs"]),
-            passed=payload["ks_passed"],
-        )
-        return cls(
-            k=payload["k"],
-            n_pairs=payload["n_pairs"],
-            ks=ks,
-            mean_observed=payload["mean_observed"],
-            mean_expected=payload["mean_expected"],
-            variance_observed=payload["variance_observed"],
-            variance_expected=payload["variance_expected"],
-            effective_dimension=payload["effective_dimension"],
-            dependence_caveat=payload["dependence_caveat"],
-        )
-
 
 def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     """np.mean(values) and np.var(values, ddof=1) of non-negative values.

@@ -17,14 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "MomentSet",
-    "raw_moment",
-    "central_moment",
-    "skewness",
-    "kurtosis",
-    "moment_set",
-]
+__all__ = ["MomentSet", "raw_moment", "moment_set"]
 
 
 # (Gamma(x+1/2)/Gamma(x))^2 / x = 1 + sum_{i>=1} d_i x^-i, the squared
@@ -96,23 +89,6 @@ def raw_moment(k: float, n: int) -> float:
     for i in range(n // 2):
         ratio *= x + frac + i
     return 2.0**n * ratio
-
-
-def central_moment(k: float, n: int) -> float:
-    """E[(R - mean)^n] for n in {2, 3, 4}."""
-    if n not in (2, 3, 4):
-        raise ValueError(f"central moments are available for n in 2..4, got {n}")
-    return moment_set(k).central[n - 2]
-
-
-def skewness(k: float) -> float:
-    """mu3 / mu2^(3/2); positive, decreasing toward 0 as k grows."""
-    return moment_set(k).skewness
-
-
-def kurtosis(k: float) -> float:
-    """mu4 / mu2^2, the dimensionless ratio; tends to 3 as k grows."""
-    return moment_set(k).kurtosis
 
 
 def moment_set(k: float) -> MomentSet:

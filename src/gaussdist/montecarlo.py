@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
@@ -28,12 +28,9 @@ __all__ = [
     "SampleSource",
     "EmpiricalSample",
     "KsResult",
-    "SampleMoments",
     "simulate_pairs",
-    "ecdf",
     "ks_one_sample",
     "ks_two_sample",
-    "sample_moments",
 ]
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
@@ -85,17 +82,6 @@ class KsResult:
     critical_value_01: float
     n_effective: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class SampleMoments:
-    """Empirical counterpart of the closed-form moment set."""
-
-    raw: tuple[float, float, float, float]
-    central: tuple[float, float, float]
-    skewness: float
-    kurtosis: float
-    n: int = field(default=0)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -178,13 +164,6 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
     return EmpiricalSample(values, k=float(ki), source=SampleSource.DIRECT_SIMULATION, seed=seed)
 
 
-def ecdf(sample: EmpiricalSample, r) -> float | np.ndarray:
-    """Fraction of sample values <= r (right-continuous step function)."""
-    pos = np.searchsorted(sample.values, r, side="right")
-    out = pos / sample.n
-    return float(out) if np.ndim(r) == 0 else out
-
-
 def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsResult:
     """Exact sup-distance between the sample ECDF and the analytic CDF.
 
@@ -242,26 +221,3 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
     n_eff = a.n * b.n / (a.n + b.n)
     critical = KS_COEFF_01 / math.sqrt(n_eff)
     return KsResult(statistic, critical, n_eff, statistic < critical)
-
-
-def sample_moments(sample: EmpiricalSample) -> SampleMoments:
-    """Sample raw moments 1..4, central moments 2..4, skewness, kurtosis.
-
-    Central quantities are accumulated about the sample mean, so no
-    large-number cancellation occurs.  Skewness and kurtosis are NaN for
-    degenerate (zero variance) samples.
-    """
-    if sample.n < 4:
-        raise ValueError(f"need at least 4 values for sample moments, got {sample.n}")
-    v = sample.values
-    raw = tuple(float(np.mean(v**i)) for i in range(1, 5))
-    d = v - raw[0]
-    central = tuple(float(np.mean(d**i)) for i in range(2, 5))
-    mu2, mu3, mu4 = central
-    if mu2 > 0.0:
-        skewness = mu3 / mu2**1.5
-        kurtosis = mu4 / mu2**2
-    else:
-        skewness = math.nan
-        kurtosis = math.nan
-    return SampleMoments(raw, central, skewness, kurtosis, n=sample.n)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gaussdist import __version__, cli, specfun
 from gaussdist.cli import _parse_dataset, _read_sample_file, main
-from gaussdist.diagnostics import FitReport
+from gaussdist.diagnostics import DatasetMatrix, FitReport, fit_report, standardize
 
 from _oracles import INV_SQRT_PI, TWO_SQRT_LN2
 
@@ -84,6 +84,12 @@ class TestEval:
     def test_missing_grid_and_points(self, capsys):
         code, _, _ = run(capsys, "eval", "--k", "2", "--which", "pdf")
         assert code == 2
+
+    def test_grid_and_points_together_is_usage_error(self, capsys):
+        argv = ("eval", "--k", "3", "--which", "pdf", "--grid", "0:1:0.5", "--at", "7")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --at: not allowed with argument --grid\n")
 
     @pytest.mark.parametrize("k", ["nan", "0.5"])
     def test_bad_dimension_is_usage_error(self, capsys, k):
@@ -187,14 +193,17 @@ class TestMoments:
 
     def test_huge_dimension_has_finite_central_moments(self, capsys):
         # At k = 1.7e308, 8k overflows: mu4 must form k (1 - mu2) first.
-        code, out, _ = run(capsys, "moments", "--k", "1e200,1.7e308")
+        # m1 ~ sqrt(2k) stays finite; m3 ~ (2k)^1.5 and m4 ~ 4k^2 do not.
+        code, out, _ = run(capsys, "moments", "--k", "1e200,1e306,1.7e308")
         assert code == 0
         header, *rows = (line.split() for line in out.splitlines())
-        assert len(rows) == 2
+        assert len(rows) == 3
         for row in rows:
             cells = dict(zip(header, map(float, row)))
             assert all(math.isfinite(cells[key])
-                       for key in ("mu2", "mu3", "mu4", "skewness", "kurtosis"))
+                       for key in ("m1", "mu2", "mu3", "mu4", "skewness", "kurtosis"))
+        cells = dict(zip(header, map(float, rows[1])))
+        assert cells["m3"] == cells["m4"] == math.inf
 
 
 class TestSample:
@@ -482,11 +491,11 @@ class TestDiagnose:
 
     def test_json_round_trips_to_report(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
-        path = self.write_csv(tmp_path, rng.standard_normal((50, 6)))
+        matrix = rng.standard_normal((50, 6))
+        path = self.write_csv(tmp_path, matrix)
         _, out, _ = run(capsys, "diagnose", str(path))
         payload = json.loads(out.strip())
-        report = FitReport.from_dict(payload)
-        assert report.to_dict() == payload
+        assert payload == fit_report(standardize(DatasetMatrix(matrix))).to_dict()
 
 
 def _padded(draw, text):
@@ -897,7 +906,8 @@ def test_benchmark_hook_names_stay_public():
     # benchmark/child.py times cli.build_parser(), benchmark/trace_layers.py
     # wraps what each module's __all__ lists, and benchmark/run.py reads
     # these spans by name: a name that left __all__ would read as zero.
-    from gaussdist import diagnostics, distribution, montecarlo
+    import gaussdist
+    from gaussdist import diagnostics, distribution, moments, montecarlo
 
     assert callable(cli.build_parser)
     assert {"reg_gamma_p", "reg_gamma_q"} <= set(specfun.__all__)
@@ -906,6 +916,20 @@ def test_benchmark_hook_names_stay_public():
     assert callable(distribution.DistanceDistribution.sample)
     assert {"simulate_pairs", "ks_one_sample", "ks_two_sample"} <= set(montecarlo.__all__)
     assert "pairwise_distances" in diagnostics.__all__
+
+    # The package re-exports exactly the layers' public names.
+    layers = (specfun, distribution, moments, montecarlo, diagnostics)
+    assert set(gaussdist.__all__) == {"__version__"}.union(*(m.__all__ for m in layers))
+    # Names only tests ever called were deleted; numpy, scipy and
+    # moment_set give the same numbers.
+    deleted = {
+        montecarlo: ("ecdf", "sample_moments", "SampleMoments"),
+        moments: ("central_moment", "skewness", "kurtosis"),
+    }
+    for module, names in deleted.items():
+        for name in names:
+            assert not hasattr(gaussdist, name) and not hasattr(module, name), name
+    assert not hasattr(FitReport, "from_dict")
 
 
 class TestAllocationFailure:

@@ -1,17 +1,13 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from scipy import stats
 
 from gaussdist.distribution import DistanceDistribution
-from gaussdist.moments import (
-    central_moment,
-    kurtosis,
-    moment_set,
-    raw_moment,
-    skewness,
-)
-from gaussdist.montecarlo import sample_moments, simulate_pairs
+from gaussdist.moments import moment_set, raw_moment
+from gaussdist.montecarlo import simulate_pairs
 
 from _oracles import (
     TWO_OVER_SQRT_PI,
@@ -61,31 +57,26 @@ class TestRawMoments:
 
 class TestCentralMoments:
     def test_variance_one_dimension(self):
-        assert central_moment(1, 2) == pytest.approx(2.0 - 4.0 / math.pi, rel=1e-12, abs=0)
+        assert moment_set(1).central[0] == pytest.approx(2.0 - 4.0 / math.pi, rel=1e-12, abs=0)
 
     def test_variance_two_dimensions(self):
-        assert central_moment(2, 2) == pytest.approx(4.0 - math.pi, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 2.5])
-    def test_rejects_unsupported_order(self, n):
-        with pytest.raises(ValueError):
-            central_moment(3, n)
+        assert moment_set(2).central[0] == pytest.approx(4.0 - math.pi, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("k", QUAD_K_SET)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_quadrature_equivalence_central(self, k, n):
         law = DistanceDistribution(k)
         numeric = quad_moment(law.pdf, n, raw_moment(k, 1), quad_upper(k))
-        assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8, abs=0)
+        assert moment_set(k).central[n - 2] == pytest.approx(numeric, rel=1e-8, abs=0)
 
     def test_quadrature_equivalence_every_k_to_fifty(self):
         for k in range(1, 51):
             law = DistanceDistribution(k)
             upper = quad_upper(k)
             mean = raw_moment(k, 1)
-            for n in (2, 3, 4):
+            for n, closed in zip((2, 3, 4), moment_set(k).central):
                 numeric = quad_moment(law.pdf, n, mean, upper)
-                assert central_moment(k, n) == pytest.approx(numeric, rel=1e-8, abs=0)
+                assert closed == pytest.approx(numeric, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("k", QUAD_K_SET)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -98,8 +89,9 @@ class TestCentralMoments:
     def test_direct_gamma_expressions(self, k):
         # The chi identities on the variance deficit must agree with the
         # direct gamma-function expressions for mu3 and mu4.
-        assert central_moment(k, 3) == pytest.approx(closed_form_mu3(k), rel=1e-10, abs=0)
-        assert central_moment(k, 4) == pytest.approx(closed_form_mu4(k), rel=1e-10, abs=0)
+        _, mu3, mu4 = moment_set(k).central
+        assert mu3 == pytest.approx(closed_form_mu3(k), rel=1e-10, abs=0)
+        assert mu4 == pytest.approx(closed_form_mu4(k), rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("k", [1, 2, 5.5, 20, 64, 100, 1000])
     def test_binomial_consistency(self, k):
@@ -113,57 +105,56 @@ class TestCentralMoments:
         # TestLargeKShapeMoments holds it to mpmath instead.
         err3 = 1e-13 * (m[2] + 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3)
         err4 = 1e-13 * (m[3] + 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] + 3.0 * m[0] ** 4)
-        assert central_moment(k, 2) == pytest.approx(mu2, rel=1e-9, abs=0)
-        assert central_moment(k, 3) == pytest.approx(mu3, rel=1e-9, abs=err3)
-        assert central_moment(k, 4) == pytest.approx(mu4, rel=1e-9, abs=err4)
+        central = moment_set(k).central
+        assert central[0] == pytest.approx(mu2, rel=1e-9, abs=0)
+        assert central[1] == pytest.approx(mu3, rel=1e-9, abs=err3)
+        assert central[2] == pytest.approx(mu4, rel=1e-9, abs=err4)
 
     def test_variance_path_switch_is_seamless(self):
         # k = 64 is where the series alone would start; the variance must
         # be continuous there to rounding.  The neighbours are adjacent
         # doubles: across [63.999999, 64.000001] the variance itself
         # changes by 1.2e-10 relative.
-        below = central_moment(math.nextafter(64.0, 0.0), 2)
-        above = central_moment(math.nextafter(64.0, math.inf), 2)
+        below = moment_set(math.nextafter(64.0, 0.0)).central[0]
+        above = moment_set(math.nextafter(64.0, math.inf)).central[0]
         assert above == pytest.approx(below, rel=1e-13, abs=0.0)
 
     def test_variance_limit(self):
-        assert abs(central_moment(1e4, 2) - 1.0) < 1e-3
+        assert abs(moment_set(1e4).central[0] - 1.0) < 1e-3
         ks = [2.0**i for i in range(1, 21)]
-        mu2s = [central_moment(k, 2) for k in ks]
+        mu2s = [moment_set(k).central[0] for k in ks]
         assert all(a < b for a, b in zip(mu2s, mu2s[1:]))
         assert all(v < 1.0 for v in mu2s)
 
     def test_variance_survives_extreme_dimensions(self):
         for k in (1e5, 1e6):
-            v = central_moment(k, 2)
+            v = moment_set(k).central[0]
             assert math.isfinite(v) and 0.0 < v < 1.0
 
 
 class TestShapeStatistics:
     def test_skewness_is_ratio(self):
-        assert skewness(1) == pytest.approx(
-            central_moment(1, 3) / central_moment(1, 2) ** 1.5, rel=1e-14, abs=0
-        )
+        ms = moment_set(1)
+        assert ms.skewness == pytest.approx(ms.central[1] / ms.central[0] ** 1.5, rel=1e-14, abs=0)
 
     def test_skewness_positive_and_decreasing(self):
-        values = [skewness(k) for k in range(1, 101)]
+        values = [moment_set(k).skewness for k in range(1, 101)]
         assert all(v > 0.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_skewness_small_at_high_dimension(self):
-        assert abs(skewness(100)) < 0.1
+        assert abs(moment_set(100).skewness) < 0.1
 
     def test_kurtosis_is_dimensionless_ratio(self):
-        assert kurtosis(3) == pytest.approx(
-            central_moment(3, 4) / central_moment(3, 2) ** 2, rel=1e-14, abs=0
-        )
+        ms = moment_set(3)
+        assert ms.kurtosis == pytest.approx(ms.central[2] / ms.central[0] ** 2, rel=1e-14, abs=0)
 
     def test_kurtosis_tends_to_three(self):
-        assert abs(kurtosis(400) - 3.0) < 0.05
+        assert abs(moment_set(400).kurtosis - 3.0) < 0.05
 
     @pytest.mark.parametrize("k", [1, 2, 5, 25, 100, 400])
     def test_kurtosis_positive(self, k):
-        assert kurtosis(k) > 0.0
+        assert moment_set(k).kurtosis > 0.0
 
     def test_fourth_moment_expression_is_not_the_kurtosis(self):
         # The direct gamma expression below reproduces mu4 (checked against
@@ -173,8 +164,9 @@ class TestShapeStatistics:
         law = DistanceDistribution(k)
         mu4_numeric = quad_moment(law.pdf, 4, raw_moment(k, 1), quad_upper(k))
         assert closed_form_mu4(k) == pytest.approx(mu4_numeric, rel=1e-8, abs=0)
-        assert kurtosis(k) != pytest.approx(closed_form_mu4(k), rel=1e-2, abs=0)
-        assert kurtosis(k) == pytest.approx(
+        kurtosis = moment_set(k).kurtosis
+        assert kurtosis != pytest.approx(closed_form_mu4(k), rel=1e-2, abs=0)
+        assert kurtosis == pytest.approx(
             mu4_numeric / quad_moment(law.pdf, 2, raw_moment(k, 1), quad_upper(k)) ** 2,
             rel=1e-8, abs=0,
         )
@@ -205,17 +197,16 @@ class TestMonteCarloEquivalence:
     @pytest.mark.parametrize("k", [1, 4, 32])
     def test_sample_moments_match_closed_forms(self, k):
         n = 10**6
-        stats = sample_moments(simulate_pairs(k, n, 17))
-        se_mean = math.sqrt(central_moment(k, 2) / n)
-        var_of_r2 = raw_moment(k, 4) - raw_moment(k, 2) ** 2
+        values = simulate_pairs(k, n, 17).values
+        ms = moment_set(k)
+        se_mean = math.sqrt(ms.central[0] / n)
+        var_of_r2 = ms.raw[3] - ms.raw[1] ** 2
         se_m2 = math.sqrt(var_of_r2 / n)
-        assert stats.raw[0] == pytest.approx(raw_moment(k, 1), abs=4.0 * se_mean)
-        assert stats.raw[1] == pytest.approx(raw_moment(k, 2), abs=4.0 * se_m2)
-        assert stats.skewness == pytest.approx(
-            skewness(k), abs=4.0 * math.sqrt(6.0 / n)
-        )
-        assert stats.kurtosis == pytest.approx(
-            kurtosis(k), abs=4.0 * math.sqrt(24.0 / n)
+        assert np.mean(values) == pytest.approx(ms.raw[0], abs=4.0 * se_mean)
+        assert np.mean(values**2) == pytest.approx(ms.raw[1], abs=4.0 * se_m2)
+        assert stats.skew(values) == pytest.approx(ms.skewness, abs=4.0 * math.sqrt(6.0 / n))
+        assert stats.kurtosis(values, fisher=False) == pytest.approx(
+            ms.kurtosis, abs=4.0 * math.sqrt(24.0 / n)
         )
 
 
@@ -247,8 +238,8 @@ class TestLargeKShapeMoments:
         # The half-step ratio behind m1 and m3 is formed from the variance
         # deficit, so it is good to an ulp or two at every k.
         assert [raw_moment(k, 1), raw_moment(k, 3)] == pytest.approx(odd, rel=1e-15, abs=0.0)
-        got = [central_moment(k, 2), central_moment(k, 3), central_moment(k, 4),
-               skewness(k), kurtosis(k)]
+        ms = moment_set(k)
+        got = [*ms.central, ms.skewness, ms.kurtosis]
         # abs=0: approx's default 1e-12 absolute floor would let a skewness
         # of 7e-7 (k = 1e12) be off by 1e-6 relative.
         assert got == pytest.approx(expected, rel=1e-14, abs=0.0)

@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gaussdist import montecarlo
 from gaussdist.distribution import DistanceDistribution
 from gaussdist.montecarlo import (
     EmpiricalSample,
     SampleSource,
-    ecdf,
     ks_one_sample,
     ks_two_sample,
-    sample_moments,
     simulate_pairs,
 )
-from gaussdist.moments import central_moment, kurtosis, raw_moment, skewness
+from gaussdist.moments import moment_set, raw_moment
 
 from _oracles import TWO_OVER_SQRT_PI, TWO_SQRT_LN2
 
@@ -64,7 +63,7 @@ class TestSimulatePairs:
     def test_one_dimensional_mean(self):
         n = 10**6
         sample = simulate_pairs(1, n, 0)
-        se = math.sqrt(central_moment(1, 2) / n)
+        se = math.sqrt(moment_set(1).central[0] / n)
         assert np.mean(sample.values) == pytest.approx(
             TWO_OVER_SQRT_PI, abs=4.0 * se
         )
@@ -101,29 +100,6 @@ class TestSimulatePairs:
         assert simulate_pairs(3, 10, 0).n == 10
         with pytest.raises(ValueError, match="11 x 3 array"):
             simulate_pairs(3, 11, 0)
-
-
-class TestEcdf:
-    def test_below_minimum(self):
-        assert ecdf(external_sample([1.0, 2.0, 3.0], k=1), 0.5) == 0.0
-
-    def test_at_maximum(self):
-        assert ecdf(external_sample([1.0, 2.0, 3.0], k=1), 3.0) == 1.0
-
-    def test_at_median_of_odd_sample(self):
-        n = 5
-        s = external_sample([1.0, 2.0, 3.0, 4.0, 5.0], k=1)
-        assert ecdf(s, 3.0) == (n + 1) / (2 * n)
-
-    def test_right_continuous(self):
-        s = external_sample([1.0, 2.0], k=1)
-        assert ecdf(s, 1.0) == 0.5
-        assert ecdf(s, 1.0 - 1e-12) == 0.0
-
-    def test_vectorized(self):
-        s = external_sample([1.0, 2.0], k=1)
-        out = ecdf(s, np.array([0.0, 1.5, 5.0]))
-        assert np.array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestKsOneSample:
@@ -292,23 +268,12 @@ class TestKsTwoSample:
 
 
 class TestSampleMoments:
-    def test_constant_sample(self):
-        stats = sample_moments(external_sample([2.0, 2.0, 2.0, 2.0], k=1))
-        assert stats.raw[0] == 2.0
-        assert stats.central[0] == 0.0
-        assert math.isnan(stats.skewness) and math.isnan(stats.kurtosis)
-
-    def test_requires_four_values(self):
-        with pytest.raises(ValueError):
-            sample_moments(external_sample([1.0, 2.0, 3.0], k=1))
-
     def test_matches_closed_forms_at_scale(self):
         n, k = 10**7, 4
-        stats = sample_moments(simulate_pairs(k, n, 11))
-        assert stats.skewness == pytest.approx(
-            skewness(k), abs=3.0 * math.sqrt(6.0 / n)
+        values = simulate_pairs(k, n, 11).values
+        ms = moment_set(k)
+        assert stats.skew(values) == pytest.approx(ms.skewness, abs=3.0 * math.sqrt(6.0 / n))
+        assert stats.kurtosis(values, fisher=False) == pytest.approx(
+            ms.kurtosis, abs=3.0 * math.sqrt(24.0 / n)
         )
-        assert stats.kurtosis == pytest.approx(
-            kurtosis(k), abs=3.0 * math.sqrt(24.0 / n)
-        )
-        assert stats.central[0] == pytest.approx(central_moment(k, 2), rel=0.01, abs=0)
+        assert np.var(values) == pytest.approx(ms.central[0], rel=0.01, abs=0)
