@@ -27,7 +27,6 @@ from .moments import MomentSet, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     KsResult,
-    SampleSource,
     ks_one_sample,
     ks_two_sample,
     simulate_pairs,
@@ -44,7 +43,6 @@ __all__ = [
     "FitReport",
     "KsResult",
     "MomentSet",
-    "SampleSource",
     "distance_pvalue",
     "effective_dimension",
     "fit_report",

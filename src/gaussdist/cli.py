@@ -41,7 +41,7 @@ from .diagnostics import (
 )
 from .distribution import DistanceDistribution
 from .moments import moment_set
-from .montecarlo import EmpiricalSample, SampleSource, simulate_pairs
+from .montecarlo import EmpiricalSample, simulate_pairs
 from .specfun import ConvergenceError
 
 __all__ = ["main"]
@@ -158,14 +158,11 @@ def _cmd_eval(args) -> int:
         points = np.asarray(_parse_float_list(args.at, "point"))
     else:
         raise UsageError("eval needs --grid start:stop:step or --at v1,v2,...")
-    try:
-        dist = DistanceDistribution(args.k)
-        if args.which == "quantile":
-            values = [dist.quantile(float(p)) for p in points]
-        else:
-            values = getattr(dist, args.which)(points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    dist = DistanceDistribution(args.k)
+    if args.which == "quantile":
+        values = [dist.quantile(float(p)) for p in points]
+    else:
+        values = getattr(dist, args.which)(points)
     _write_lines(args.output, [f"{_fmt(x)} {_fmt(v)}" for x, v in zip(points, values)])
     return 0
 
@@ -177,10 +174,7 @@ def _cmd_moments(args) -> int:
     ks = _parse_float_list(args.k, "k")
     lines = ["k m1 m2 m3 m4 mu2 mu3 mu4 skewness kurtosis"]
     for k in ks:
-        try:
-            ms = moment_set(k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        ms = moment_set(k)
         cells = (k, *ms.raw, *ms.central, ms.skewness, ms.kurtosis)
         lines.append(" ".join(_fmt(c) for c in cells))
     _write_lines(args.output, lines)
@@ -191,13 +185,10 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    try:
-        if args.method == "direct":
-            sample = simulate_pairs(args.k, args.n, args.seed, threads=args.threads)
-        else:
-            sample = DistanceDistribution(args.k).sample(args.n, args.seed, threads=args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.method == "direct":
+        sample = simulate_pairs(args.k, args.n, args.seed, threads=args.threads)
+    else:
+        sample = DistanceDistribution(args.k).sample(args.n, args.seed, threads=args.threads)
     lines = [
         f"# k: {_fmt(args.k)}",
         f"# n: {args.n}",
@@ -270,7 +261,7 @@ def _cmd_test(args) -> int:
     if k is None:
         raise UsageError("test needs --k (sample file has no k header)")
     try:
-        sample = EmpiricalSample(values, k=k, source=SampleSource.EXTERNAL)
+        sample = EmpiricalSample(values)
     except ValueError as exc:
         raise DataError(f"{args.sample_file}: {exc}") from exc
     try:
@@ -279,7 +270,7 @@ def _cmd_test(args) -> int:
         # A k read from the file is bad data, not a bad argument.
         if from_header:
             raise DataError(f"{args.sample_file}: bad k in header: {exc}") from exc
-        raise UsageError(str(exc)) from exc
+        raise
     try:
         report = sample_fit_report(sample, law, dependence_caveat=False)
     except ValueError as exc:
@@ -300,7 +291,7 @@ def _cmd_test(args) -> int:
     print(text)
     if args.output is not None:
         _write_lines(args.output, [text])
-    return 0 if report.ks.passed else 1
+    return 0 if report.ks_passed else 1
 
 
 # -- diagnose -------------------------------------------------------------
@@ -422,21 +413,18 @@ def _cmd_contrast(args) -> int:
     if not seeds:
         raise UsageError("need at least one seed")
     lines = ["# columns: k seed d_max d_min contrast"]
-    totals: dict[int, float] = {}
-    try:
-        for seed in seeds:
-            rows = relative_contrast_curve(ks, args.n, seed)
-            for row in rows:
-                totals[row.k] = totals.get(row.k, 0.0) + row.contrast
-                lines.append(
-                    f"{row.k} {seed} {_fmt(row.d_max)} {_fmt(row.d_min)} {_fmt(row.contrast)}"
-                )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # Summed per position in --k, so a repeated k is not counted twice.
+    totals = [0.0] * len(ks)
+    for seed in seeds:
+        rows = relative_contrast_curve(ks, args.n, seed)
+        for i, row in enumerate(rows):
+            totals[i] += row.contrast
+            lines.append(
+                f"{row.k} {seed} {_fmt(row.d_max)} {_fmt(row.d_min)} {_fmt(row.contrast)}"
+            )
     lines.append("# mean contrast per k")
-    # Every seed's rows list the dimensions of --k in order.
-    for row in rows:
-        lines.append(f"mean {row.k} {_fmt(totals[row.k] / len(seeds))}")
+    for row, total in zip(rows, totals):
+        lines.append(f"mean {row.k} {_fmt(total / len(seeds))}")
     _write_lines(args.output, lines)
     return 0
 
@@ -541,7 +529,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # A ValueError that reaches here rejected an argument: the commands
+        # that read files turn theirs into DataError.
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ConvergenceError, OSError, MemoryError) as exc:

@@ -20,8 +20,6 @@ from .distribution import DistanceDistribution
 from .moments import _variance_deficit, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
-    KsResult,
-    SampleSource,
     _check_array_size,
     _integer_dimension,
     _substream,
@@ -108,7 +106,7 @@ def pairwise_distances(data: DatasetMatrix) -> EmpiricalSample:
     values = d2[np.triu(np.ones((data.rows, data.rows), dtype=bool), 1)]
     np.maximum(values, 0.0, out=values)
     np.sqrt(values, out=values)
-    return EmpiricalSample(values, k=float(data.cols), source=SampleSource.EXTERNAL)
+    return EmpiricalSample(values)
 
 
 def distance_pvalue(dist: DistanceDistribution, observed: float, tail: str) -> float:
@@ -150,11 +148,16 @@ def effective_dimension(mean_distance: float) -> float:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Goodness of fit of observed pairwise distances to the null law."""
+    """Goodness of fit of observed pairwise distances to the null law.
+
+    The fields, in order, are the keys of the JSON report.
+    """
 
     k: float
     n_pairs: int
-    ks: KsResult
+    ks_statistic: float
+    ks_critical_01: float
+    ks_passed: bool
     mean_observed: float
     mean_expected: float
     variance_observed: float
@@ -163,19 +166,7 @@ class FitReport:
     dependence_caveat: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_pairs": self.n_pairs,
-            "ks_statistic": self.ks.statistic,
-            "ks_critical_01": self.ks.critical_value_01,
-            "ks_passed": self.ks.passed,
-            "mean_observed": self.mean_observed,
-            "mean_expected": self.mean_expected,
-            "variance_observed": self.variance_observed,
-            "variance_expected": self.variance_expected,
-            "effective_dimension": self.effective_dimension,
-            "dependence_caveat": self.dependence_caveat,
-        }
+        return dict(vars(self))
 
 
 def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
@@ -220,7 +211,9 @@ def sample_fit_report(
     return FitReport(
         k=law.k,
         n_pairs=sample.n,
-        ks=ks,
+        ks_statistic=ks.statistic,
+        ks_critical_01=ks.critical_value_01,
+        ks_passed=ks.passed,
         mean_observed=mean_obs,
         mean_expected=moments.raw[0],
         variance_observed=var_obs,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import _validate_k
-from .montecarlo import EmpiricalSample, SampleSource, _blocked_draw, _check_seed
+from .montecarlo import EmpiricalSample, _blocked_draw, _check_seed
 from .specfun import (
     ConvergenceError,
     _log_density_peak,
@@ -228,6 +228,4 @@ class DistanceDistribution:
             return 2.0 * np.sqrt(rng.gamma(shape, size=size))
 
         values = _blocked_draw(n, seed, _SAMPLE_BLOCK, draw, threads)
-        return EmpiricalSample(
-            values, k=self.k, source=SampleSource.ANALYTIC_SAMPLER, seed=seed
-        )
+        return EmpiricalSample(values)

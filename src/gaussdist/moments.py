@@ -68,7 +68,6 @@ def _validate_k(k: float) -> float:
 class MomentSet:
     """Raw moments 1..4, central moments 2..4, skewness and kurtosis."""
 
-    k: float
     raw: tuple[float, float, float, float]
     central: tuple[float, float, float]
     skewness: float
@@ -105,7 +104,6 @@ def moment_set(k: float) -> MomentSet:
     mu3 = 2.0 * raw[0] * deficit
     mu4 = -3.0 * mu2 * mu2 + 8.0 * mu2 - 8.0 * (k * deficit)
     return MomentSet(
-        k=k,
         raw=raw,
         central=(mu2, mu3, mu4),
         skewness=mu3 / mu2**1.5,

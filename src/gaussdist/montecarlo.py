@@ -9,6 +9,10 @@ Marsaglia-Tsang gamma variates).  Work is split into fixed-size blocks
 and every block gets its own substream seeded by ``SeedSequence((seed,
 block_index))``, so output is byte-identical no matter how many worker
 threads process the blocks.
+
+A sample is only its sorted values: it records neither the dimension
+nor the seed it came from.  The `sample` command writes those into its
+file's header.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -25,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .distribution import DistanceDistribution
 
 __all__ = [
-    "SampleSource",
     "EmpiricalSample",
     "KsResult",
     "simulate_pairs",
@@ -46,20 +48,11 @@ _BRACKET_MARGIN = 1e-9
 _MAX_ARRAY_BYTES = 1 << 30
 
 
-class SampleSource(Enum):
-    DIRECT_SIMULATION = "direct_simulation"
-    ANALYTIC_SAMPLER = "analytic_sampler"
-    EXTERNAL = "external"
-
-
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Non-negative distances with provenance, sorted into a read-only copy."""
+    """Non-negative distances, sorted into a read-only copy."""
 
     values: np.ndarray
-    k: float
-    source: SampleSource
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -80,7 +73,6 @@ class EmpiricalSample:
 class KsResult:
     statistic: float
     critical_value_01: float
-    n_effective: float
     passed: bool
 
 
@@ -161,7 +153,7 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
     block = max(256, (1 << 21) // ki)
     _check_array_size(min(block, n), ki)
     values = _blocked_draw(n, seed, block, draw, threads)
-    return EmpiricalSample(values, k=float(ki), source=SampleSource.DIRECT_SIMULATION, seed=seed)
+    return EmpiricalSample(values)
 
 
 def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsResult:
@@ -181,11 +173,6 @@ def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsRe
     values can be out of order by about 1e-12 at most; the margin covers
     that a thousandfold and can only widen the kept set.
     """
-    if sample.source is SampleSource.DIRECT_SIMULATION and sample.k != dist.k:
-        raise ValueError(
-            f"dimension mismatch: sample simulated at k={sample.k}, "
-            f"law has k={dist.k}"
-        )
     n = sample.n
 
     def deviation(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +196,7 @@ def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsRe
             statistic = max(statistic, np.max(deviation(inner)[0]))
     statistic = float(statistic)
     critical = KS_COEFF_01 / math.sqrt(n)
-    return KsResult(statistic, critical, float(n), statistic < critical)
+    return KsResult(statistic, critical, statistic < critical)
 
 
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
@@ -220,4 +207,4 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
     statistic = float(np.max(np.abs(fa - fb)))
     n_eff = a.n * b.n / (a.n + b.n)
     critical = KS_COEFF_01 / math.sqrt(n_eff)
-    return KsResult(statistic, critical, n_eff, statistic < critical)
+    return KsResult(statistic, critical, statistic < critical)

@@ -18,6 +18,13 @@ from gaussdist.diagnostics import DatasetMatrix, FitReport, fit_report, standard
 
 from _oracles import INV_SQRT_PI, TWO_SQRT_LN2
 
+# The keys of the JSON fit report, in the order the README lists them.
+REPORT_KEYS = [
+    "k", "n_pairs", "ks_statistic", "ks_critical_01", "ks_passed", "mean_observed",
+    "mean_expected", "variance_observed", "variance_expected", "effective_dimension",
+    "dependence_caveat",
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -405,6 +412,7 @@ class TestTest:
         code, out, _ = run(capsys, "test", str(sample), "--output", str(out_path))
         payload = json.loads(out_path.read_text())
         assert payload == json.loads(out.splitlines()[-1])
+        assert list(payload) == REPORT_KEYS
 
 
 class TestDiagnose:
@@ -496,6 +504,7 @@ class TestDiagnose:
         _, out, _ = run(capsys, "diagnose", str(path))
         payload = json.loads(out.strip())
         assert payload == fit_report(standardize(DatasetMatrix(matrix))).to_dict()
+        assert list(payload) == REPORT_KEYS
 
 
 def _padded(draw, text):
@@ -699,6 +708,16 @@ class TestContrast:
             if line.startswith("mean")
         ]
         assert means[0] > means[1] > means[2]
+
+    def test_repeated_dimension_mean_is_its_own(self, capsys):
+        code, out, _ = run(capsys, "contrast", "--k", "2,2,5", "--n", "5", "--seeds", "3")
+        assert code == 0
+        contrasts = [float(line.split()[4]) for line in out.splitlines()
+                     if not line.startswith(("#", "mean"))]
+        means = [line.split()[1:] for line in out.splitlines() if line.startswith("mean")]
+        assert [k for k, _ in means] == ["2", "2", "5"]
+        for i, (_, mean) in enumerate(means):
+            assert float(mean) == sum(contrasts[i::3]) / 3
 
     def test_explicit_seed_list(self, capsys):
         code, out, _ = run(capsys, "contrast", "--k", "4", "--n", "10", "--seeds", "7,9")

@@ -16,7 +16,7 @@ from gaussdist.diagnostics import (
     standardize,
 )
 from gaussdist.distribution import DistanceDistribution
-from gaussdist.montecarlo import EmpiricalSample, SampleSource
+from gaussdist.montecarlo import EmpiricalSample
 from gaussdist.moments import raw_moment
 
 from _oracles import TWO_SQRT_LN2
@@ -92,7 +92,6 @@ class TestPairwiseDistances:
         sample = pairwise_distances(d)
         assert sample.n == 1
         assert sample.values[0] == pytest.approx(2.0, abs=1e-12)
-        assert sample.source is SampleSource.EXTERNAL
 
     def test_collinear_points_scale_as_geometry(self):
         # Three collinear points with unit spacing along the diagonal;
@@ -231,7 +230,7 @@ class TestFitReport:
             "effective_dimension",
         ):
             assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12, abs=0)
-        assert a.ks.statistic == pytest.approx(b.ks.statistic, rel=1e-9, abs=0)
+        assert a.ks_statistic == pytest.approx(b.ks_statistic, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("values", [
         [0.0, 1e154, 2e154] + [1.0] * 26,
@@ -244,28 +243,28 @@ class TestFitReport:
         mean = sum(exact) / len(exact)
         var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
         report = sample_fit_report(
-            EmpiricalSample(np.array(values), k=3.0, source=SampleSource.EXTERNAL),
+            EmpiricalSample(np.array(values)),
             DistanceDistribution(3.0),
             dependence_caveat=False,
         )
         assert abs(Fraction(report.variance_observed) - var) <= var * Fraction(1e-15)
 
     def test_variance_beyond_double_range_is_value_error(self):
-        sample = EmpiricalSample(np.array([0.0, 2.6e154]), k=3.0, source=SampleSource.EXTERNAL)
+        sample = EmpiricalSample(np.array([0.0, 2.6e154]))
         with pytest.raises(ValueError, match="variance exceeds the double range"):
             sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
 
     def test_mean_past_sum_overflow_is_value_error(self):
         # The sum overflows, the mean does not; no dimension has a mean
         # whose square overflows.
-        sample = EmpiricalSample(np.array([1.7e308, 1e308]), k=3.0, source=SampleSource.EXTERNAL)
+        sample = EmpiricalSample(np.array([1.7e308, 1e308]))
         with pytest.raises(ValueError, match=r"1\.35e\+308 is too large: its square overflows"):
             sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
     def test_variance_below_overflow_is_numpys(self, scale):
         values = scale * np.random.default_rng(4).uniform(0.0, 3.0, 500)
-        sample = EmpiricalSample(values, k=3.0, source=SampleSource.EXTERNAL)
+        sample = EmpiricalSample(values)
         report = sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
         assert report.mean_observed == float(np.mean(sample.values))
         assert report.variance_observed == float(np.var(sample.values, ddof=1))

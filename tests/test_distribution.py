@@ -8,7 +8,7 @@ from scipy.special import erfinv
 from scipy.stats import chi
 
 from gaussdist.distribution import DistanceDistribution
-from gaussdist.montecarlo import SampleSource, ks_one_sample, ks_two_sample, simulate_pairs
+from gaussdist.montecarlo import ks_one_sample, ks_two_sample, simulate_pairs
 from gaussdist.moments import moment_set, raw_moment
 
 from _oracles import (
@@ -286,7 +286,6 @@ class TestSampler:
         sample = DistanceDistribution(3).sample(1000, 5)
         assert np.all(sample.values >= 0.0)
         assert np.all(np.diff(sample.values) >= 0.0)
-        assert sample.source is SampleSource.ANALYTIC_SAMPLER
 
     def test_deterministic(self):
         a = DistanceDistribution(2.5).sample(5000, 99)

@@ -8,7 +8,6 @@ from gaussdist import montecarlo
 from gaussdist.distribution import DistanceDistribution
 from gaussdist.montecarlo import (
     EmpiricalSample,
-    SampleSource,
     ks_one_sample,
     ks_two_sample,
     simulate_pairs,
@@ -18,30 +17,26 @@ from gaussdist.moments import moment_set, raw_moment
 from _oracles import TWO_OVER_SQRT_PI, TWO_SQRT_LN2
 
 
-def external_sample(values, k):
-    return EmpiricalSample(np.asarray(values, dtype=float), k=k, source=SampleSource.EXTERNAL)
-
-
 class TestEmpiricalSample:
     def test_sorts_input(self):
-        s = external_sample([3.0, 1.0, 2.0], k=1)
+        s = EmpiricalSample([3.0, 1.0, 2.0])
         assert np.array_equal(s.values, [1.0, 2.0, 3.0])
         assert s.n == 3
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            external_sample([], k=1)
+            EmpiricalSample([])
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            external_sample([0.5, -0.1], k=1)
+            EmpiricalSample([0.5, -0.1])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            external_sample([0.5, math.inf], k=1)
+            EmpiricalSample([0.5, math.inf])
 
     def test_values_frozen(self):
-        s = external_sample([1.0, 2.0], k=1)
+        s = EmpiricalSample([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
@@ -51,8 +46,6 @@ class TestSimulatePairs:
         a = simulate_pairs(3, 2000, 11)
         b = simulate_pairs(3, 2000, 11)
         assert np.array_equal(a.values, b.values)
-        assert a.source is SampleSource.DIRECT_SIMULATION
-        assert a.seed == 11 and a.k == 3.0
 
     def test_thread_count_does_not_change_output(self):
         n = 3_000_000  # several blocks at k=2
@@ -81,7 +74,7 @@ class TestSimulatePairs:
             simulate_pairs(k, 10, 0)
 
     def test_accepts_integral_float(self):
-        assert simulate_pairs(2.0, 10, 0).k == 2.0
+        assert np.array_equal(simulate_pairs(2.0, 10, 0).values, simulate_pairs(2, 10, 0).values)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -118,14 +111,9 @@ class TestKsOneSample:
         assert result.statistic > 0.5
 
     def test_single_point_at_median(self):
-        sample = external_sample([TWO_SQRT_LN2], k=2)
+        sample = EmpiricalSample([TWO_SQRT_LN2])
         result = ks_one_sample(sample, DistanceDistribution(2))
         assert result.statistic == pytest.approx(0.5, abs=1e-12)
-
-    def test_dimension_mismatch_rejected_for_direct_simulation(self):
-        sample = simulate_pairs(2, 100, 0)
-        with pytest.raises(ValueError):
-            ks_one_sample(sample, DistanceDistribution(3))
 
     @staticmethod
     def all_values_statistic(sample, law):
@@ -150,7 +138,7 @@ class TestKsOneSample:
             values = DistanceDistribution(k * factor).sample(n, seed).values
             if ties:
                 values = np.round(values, 1)
-            sample = external_sample(values, k)
+            sample = EmpiricalSample(values)
             expected = self.all_values_statistic(sample, law)
             assert ks_one_sample(sample, law).statistic == expected, (k, n)
 
@@ -189,7 +177,7 @@ class TestKsOneSample:
         values = 2.0 * np.sqrt(-np.log1p(-p))
         if top is not None:
             values[-1] = top
-        sample, law = external_sample(values, 2), DistanceDistribution(2)
+        sample, law = EmpiricalSample(values), DistanceDistribution(2)
         statistic = ks_one_sample(sample, law).statistic
         assert statistic == self.all_values_statistic(sample, law)
         assert statistic == pytest.approx(maximum / n, rel=1e-9)
@@ -243,15 +231,14 @@ class TestKsTwoSample:
         assert result.passed
 
     def test_disjoint_supports(self):
-        a = external_sample([1.0, 2.0], k=1)
-        b = external_sample([5.0, 6.0], k=1)
+        a = EmpiricalSample([1.0, 2.0])
+        b = EmpiricalSample([5.0, 6.0])
         assert ks_two_sample(a, b).statistic == 1.0
 
     def test_critical_value_formula(self):
-        a = external_sample([1.0] * 100, k=1)
-        b = external_sample([1.0] * 400, k=1)
+        a = EmpiricalSample([1.0] * 100)
+        b = EmpiricalSample([1.0] * 400)
         result = ks_two_sample(a, b)
-        assert result.n_effective == pytest.approx(80.0)
         assert result.critical_value_01 == pytest.approx(
             1.63 * math.sqrt(500 / (100 * 400))
         )

@@ -14,7 +14,7 @@ and within a pair every workload runs on both sides before the next
 workload starts.
 
 The output holds every result line under `runs`, each tagged with the
-commit it ran, or, for a change with uncommitted edits under src/, with
+commit it ran, or, for a change with edited or new files under src/, with
 the sha256 of its src/ tree.  Under `summary`, per workload and metric:
 each side's quartiles (linear interpolation, as numpy's default
 percentile), the pairs the change won (ties count for neither side), the
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     parent = git(root, "rev-parse", "HEAD").decode().strip()
-    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no", "--", "src"))
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=all", "--", "src"))
     change = f"{parent}+src sha256 {tree_digest(root)}" if dirty else parent
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
