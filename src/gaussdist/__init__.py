@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from .diagnostics import (
     ContrastRow,
-    DatasetMatrix,
     FitReport,
-    distance_pvalue,
     effective_dimension,
     fit_report,
     pairwise_distances,
@@ -24,30 +22,21 @@ from .diagnostics import (
 )
 from .distribution import DistanceDistribution
 from .moments import MomentSet, moment_set, raw_moment
-from .montecarlo import (
-    EmpiricalSample,
-    KsResult,
-    ks_one_sample,
-    ks_two_sample,
-    simulate_pairs,
-)
+from .montecarlo import EmpiricalSample, KsResult, ks_one_sample, simulate_pairs
 from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
 
 __all__ = [
     "__version__",
     "ContrastRow",
     "ConvergenceError",
-    "DatasetMatrix",
     "DistanceDistribution",
     "EmpiricalSample",
     "FitReport",
     "KsResult",
     "MomentSet",
-    "distance_pvalue",
     "effective_dimension",
     "fit_report",
     "ks_one_sample",
-    "ks_two_sample",
     "moment_set",
     "pairwise_distances",
     "raw_moment",

@@ -32,13 +32,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    DatasetMatrix,
-    fit_report,
-    relative_contrast_curve,
-    sample_fit_report,
-    standardize,
-)
+from .diagnostics import fit_report, relative_contrast_curve, sample_fit_report, standardize
 from .distribution import DistanceDistribution
 from .moments import moment_set
 from .montecarlo import EmpiricalSample, simulate_pairs
@@ -50,10 +44,6 @@ FIG4_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
 FIG2_GRID = (0.0, 6.0, 0.01)
 FIG4_GRID = (0.0, 18.0, 0.01)
 MAX_GRID_POINTS = 1_000_000
-
-
-class UsageError(Exception):
-    """Malformed arguments detected after argparse; exits with status 2."""
 
 
 class DataError(Exception):
@@ -70,25 +60,25 @@ def _parse_grid(spec: str) -> np.ndarray:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
-        raise UsageError(f"grid must be start:stop:step, got {spec!r}") from None
+        raise ValueError(f"grid must be start:stop:step, got {spec!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
-        raise UsageError(f"grid bounds and step must be finite, got {spec!r}")
+        raise ValueError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0.0 or stop < start:
-        raise UsageError(f"grid needs start <= stop and step > 0, got {spec!r}")
+        raise ValueError(f"grid needs start <= stop and step > 0, got {spec!r}")
     span = np.floor((stop - start) / step + 1e-9)
     if not span < MAX_GRID_POINTS:
-        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
     return start + step * np.arange(int(span) + 1)
 
 
 def _parse_float_list(spec: str, what: str) -> list[float]:
     items = [s for s in spec.split(",") if s.strip()]
     if not items:
-        raise UsageError(f"empty {what} list")
+        raise ValueError(f"empty {what} list")
     try:
         return [float(s) for s in items]
     except ValueError:
-        raise UsageError(f"bad {what} list: {spec!r}") from None
+        raise ValueError(f"bad {what} list: {spec!r}") from None
 
 
 def _write_lines(path, lines) -> None:
@@ -157,7 +147,7 @@ def _cmd_eval(args) -> int:
     elif args.at is not None:
         points = np.asarray(_parse_float_list(args.at, "point"))
     else:
-        raise UsageError("eval needs --grid start:stop:step or --at v1,v2,...")
+        raise ValueError("eval needs --grid start:stop:step or --at v1,v2,...")
     dist = DistanceDistribution(args.k)
     if args.which == "quantile":
         values = [dist.quantile(float(p)) for p in points]
@@ -259,7 +249,7 @@ def _cmd_test(args) -> int:
         except ValueError:
             raise DataError(f"{args.sample_file}: bad k in header: {header['k']!r}") from None
     if k is None:
-        raise UsageError("test needs --k (sample file has no k header)")
+        raise ValueError("test needs --k (sample file has no k header)")
     try:
         sample = EmpiricalSample(values)
     except ValueError as exc:
@@ -346,16 +336,13 @@ def _bad_dataset_row(path, numbered, delimiter: str, exc: ValueError) -> DataErr
 
 def _cmd_diagnose(args) -> int:
     if len(args.delimiter) != 1 or args.delimiter in "\r\n":
-        raise UsageError(
+        raise ValueError(
             f"--delimiter must be one character other than a line break, "
             f"got {args.delimiter!r}"
         )
     matrix = _parse_dataset(args.dataset_file, args.delimiter)
     try:
-        data = DatasetMatrix(matrix, standardized=args.no_standardize)
-        if not args.no_standardize:
-            data = standardize(data)
-        report = fit_report(data)
+        report = fit_report(matrix if args.no_standardize else standardize(matrix))
     except ValueError as exc:
         raise DataError(f"{args.dataset_file}: {exc}") from exc
     text = json.dumps(report.to_dict())
@@ -404,14 +391,14 @@ def _parse_seeds(spec: str) -> list[int]:
         count = int(spec)
         return list(range(count))
     except ValueError:
-        raise UsageError(f"--seeds takes a count or a comma list, got {spec!r}") from None
+        raise ValueError(f"--seeds takes a count or a comma list, got {spec!r}") from None
 
 
 def _cmd_contrast(args) -> int:
     ks = _parse_float_list(args.k, "k")
     seeds = _parse_seeds(args.seeds)
     if not seeds:
-        raise UsageError("need at least one seed")
+        raise ValueError("need at least one seed")
     lines = ["# columns: k seed d_max d_min contrast"]
     # Summed per position in --k, so a repeated k is not counted twice.
     totals = [0.0] * len(ks)
@@ -529,7 +516,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         # A ValueError that reaches here rejected an argument: the commands
         # that read files turn theirs into DataError.
         print(f"usage error: {exc}", file=sys.stderr)

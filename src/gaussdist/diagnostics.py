@@ -1,11 +1,14 @@
 """Applying the distance law to data: significance, fit, effective dimension.
 
-The null model throughout is a dataset whose standardized features are
-independent standard normals, in which case all pairwise distances
-follow the analytic law for k = number of features.  Pairwise distances
-from one dataset are statistically dependent (they share points), so fit
-reports carry a dependence caveat rather than pretending the KS test is
-exact.
+A dataset is a float matrix: rows are observations, columns are
+features.  The null model throughout is a dataset whose standardized
+features are independent standard normals, in which case all pairwise
+distances follow the law for k = number of features: an observed
+distance r has lower-tail p-value law.cdf(r) (how unusually close) and
+upper-tail p-value law.survival(r) (how unusually far).  Pairwise
+distances from one dataset are statistically dependent (they share
+points), so fit reports carry a dependence caveat rather than
+pretending the KS test is exact.
 """
 
 from __future__ import annotations
@@ -21,105 +24,65 @@ from .moments import _variance_deficit, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     _check_array_size,
+    _check_seed,
     _integer_dimension,
     _substream,
     ks_one_sample,
 )
 
 __all__ = [
-    "DatasetMatrix",
     "FitReport",
     "ContrastRow",
     "standardize",
     "pairwise_distances",
-    "distance_pvalue",
     "effective_dimension",
     "fit_report",
     "sample_fit_report",
     "relative_contrast_curve",
 ]
 
-@dataclass(frozen=True)
-class DatasetMatrix:
-    """A numeric dataset: rows are observations, columns are features.
-
-    The standardized flag records provenance: data produced by
-    standardize() has zero-mean, unit-sd columns (divisor n-1) to within
-    1e-9.  Constructing with standardized=True asserts the caller's data
-    already satisfies that convention; it is trusted, not re-verified.
-    """
-
-    data: np.ndarray
-    standardized: bool = False
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError("dataset must be a 2-D matrix")
-        rows, cols = data.shape
-        if rows < 2 or cols < 1:
-            raise ValueError(f"dataset needs >= 2 rows and >= 1 column, got {rows}x{cols}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("dataset contains non-finite values; missing data is rejected")
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-
-    @property
-    def rows(self) -> int:
-        return int(self.data.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.data.shape[1])
+def _checked_matrix(data) -> np.ndarray:
+    """data as a float array, refused unless 2-D, finite, >= 2 rows and >= 1 column."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("dataset must be a 2-D matrix")
+    rows, cols = data.shape
+    if rows < 2 or cols < 1:
+        raise ValueError(f"dataset needs >= 2 rows and >= 1 column, got {rows}x{cols}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("dataset contains non-finite values; missing data is rejected")
+    return data
 
 
-def standardize(data: DatasetMatrix) -> DatasetMatrix:
-    """Transform every column to zero mean, unit sample sd (divisor n-1)."""
-    means = data.data.mean(axis=0)
-    sds = data.data.std(axis=0, ddof=1)
+def standardize(data) -> np.ndarray:
+    """A new matrix whose columns have zero mean and unit sample sd (divisor n-1)."""
+    data = _checked_matrix(data)
+    means = data.mean(axis=0)
+    sds = data.std(axis=0, ddof=1)
     # A column of identical values has zero range exactly, even when
     # mean subtraction leaves rounding residue in the sd.
-    spread = data.data.max(axis=0) - data.data.min(axis=0)
+    spread = data.max(axis=0) - data.min(axis=0)
     constant = np.flatnonzero((spread == 0.0) | (sds == 0.0))
     if constant.size:
         raise ValueError(
             f"column {int(constant[0])} is constant; standardization is undefined "
             "for zero-variance features"
         )
-    return DatasetMatrix((data.data - means) / sds, standardized=True)
+    return (data - means) / sds
 
 
-def pairwise_distances(data: DatasetMatrix) -> EmpiricalSample:
+def pairwise_distances(data) -> EmpiricalSample:
     """All rows*(rows-1)/2 Euclidean distances between rows, sorted."""
-    if not data.standardized:
-        raise ValueError(
-            "pairwise distances against the null law need standardized data; "
-            "call standardize() first or pass data that already is"
-        )
-    x = data.data
+    x = _checked_matrix(data)
     sq = np.sum(x**2, axis=1)
     gram = x @ x.T
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     # A boolean mask keeps the row-major order of triu_indices without
     # its two int64 index arrays of rows*(rows-1)/2 entries.
-    values = d2[np.triu(np.ones((data.rows, data.rows), dtype=bool), 1)]
+    values = d2[np.triu(np.ones((len(x), len(x)), dtype=bool), 1)]
     np.maximum(values, 0.0, out=values)
     np.sqrt(values, out=values)
     return EmpiricalSample(values)
-
-
-def distance_pvalue(dist: DistanceDistribution, observed: float, tail: str) -> float:
-    """Probability of a distance at least as extreme as the one observed.
-
-    tail='lower' asks how unusually close the pair is (the
-    nearest-neighbor question); tail='upper' how unusually far.
-    """
-    if tail not in ("lower", "upper"):
-        raise ValueError(f"tail must be 'lower' or 'upper', got {tail!r}")
-    if tail == "lower":
-        return dist.cdf(observed)
-    return dist.survival(observed)
 
 
 def effective_dimension(mean_distance: float) -> float:
@@ -223,12 +186,18 @@ def sample_fit_report(
     )
 
 
-def fit_report(data: DatasetMatrix) -> FitReport:
-    """Compare a dataset's pairwise distances to the independent-feature null."""
-    if data.rows < 10:
-        raise ValueError(f"fit report needs at least 10 rows, got {data.rows}")
+def fit_report(data) -> FitReport:
+    """Compare a dataset's pairwise distances to the independent-feature null.
+
+    The data is taken as it is: standardize() it first unless its
+    columns already have zero mean and unit sd.
+    """
+    data = _checked_matrix(data)
+    rows, cols = data.shape
+    if rows < 10:
+        raise ValueError(f"fit report needs at least 10 rows, got {rows}")
     sample = pairwise_distances(data)
-    law = DistanceDistribution(float(data.cols))
+    law = DistanceDistribution(float(cols))
     return sample_fit_report(sample, law, dependence_caveat=True)
 
 
@@ -258,6 +227,7 @@ def relative_contrast_curve(
     if n_points < 3:
         raise ValueError(f"need at least 3 points, got {n_points}")
     _check_array_size(n_points, max(ks))
+    seed = _check_seed(seed)
     rows = []
     for k in ks:
         rng = _substream(seed, k)

@@ -1,4 +1,4 @@
-"""Brute-force simulation oracle and empirical-distribution machinery.
+"""Brute-force simulation oracle and the one-sample Kolmogorov-Smirnov test.
 
 Distances are simulated literally: draw two points with i.i.d. standard
 normal coordinates and take the Euclidean norm of their difference.
@@ -32,7 +32,6 @@ __all__ = [
     "KsResult",
     "simulate_pairs",
     "ks_one_sample",
-    "ks_two_sample",
 ]
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
@@ -198,13 +197,3 @@ def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsRe
     critical = KS_COEFF_01 / math.sqrt(n)
     return KsResult(statistic, critical, statistic < critical)
 
-
-def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> KsResult:
-    """Sup-distance between two sample ECDFs."""
-    grid = np.concatenate([a.values, b.values])
-    fa = np.searchsorted(a.values, grid, side="right") / a.n
-    fb = np.searchsorted(b.values, grid, side="right") / b.n
-    statistic = float(np.max(np.abs(fa - fb)))
-    n_eff = a.n * b.n / (a.n + b.n)
-    critical = KS_COEFF_01 / math.sqrt(n_eff)
-    return KsResult(statistic, critical, statistic < critical)

@@ -10,6 +10,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import stats
 from scipy.integrate import quad
 
 # High-precision reference constants (>= 25 significant digits at source).
@@ -64,6 +65,14 @@ def ks_statistic_against(sorted_values, cdf_values):
     return float(
         max(np.max(i / n - cdf_values), np.max(cdf_values - (i - 1) / n))
     )
+
+
+def two_samples_agree(a, b):
+    """Whether scipy's two-sample KS statistic of a and b is below the
+    alpha = 0.01 critical value 1.63 sqrt((n + m)/(n m)); scipy's own
+    p-value is not used."""
+    n, m = len(a), len(b)
+    return stats.ks_2samp(a, b).statistic < 1.63 * math.sqrt((n + m) / (n * m))
 
 
 def closed_form_mu3(k):

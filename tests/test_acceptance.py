@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from gaussdist.cli import main
 from gaussdist.distribution import DistanceDistribution
 from gaussdist.moments import moment_set, raw_moment
-from gaussdist.montecarlo import ks_one_sample, ks_two_sample, simulate_pairs
-from gaussdist.diagnostics import DatasetMatrix, fit_report, relative_contrast_curve, standardize
+from gaussdist.montecarlo import ks_one_sample, simulate_pairs
+from gaussdist.diagnostics import fit_report, relative_contrast_curve, standardize
 
 from _oracles import (
     INV_SQRT_PI,
@@ -25,6 +25,7 @@ from _oracles import (
     closed_form_mu4,
     ks_statistic_against,
     normal_cdf,
+    two_samples_agree,
     quad_moment,
 )
 
@@ -100,7 +101,7 @@ def test_criterion_05_monte_carlo_validation():
                 direct = simulate_pairs(k, n, seed)
                 one_sample_passes += ks_one_sample(direct, law).passed
                 analytic = law.sample(n, seed + 1000)
-                two_sample_passes += ks_two_sample(direct, analytic).passed
+                two_sample_passes += two_samples_agree(direct.values, analytic.values)
             assert one_sample_passes >= 4, (k, one_sample_passes)
             assert two_sample_passes >= 4, (k, two_sample_passes)
 
@@ -147,7 +148,7 @@ def test_criterion_08_effective_dimension():
             estimates = []
             for seed in range(5):
                 rng = np.random.default_rng(seed)
-                data = standardize(DatasetMatrix(rng.standard_normal((200, k))))
+                data = standardize(rng.standard_normal((200, k)))
                 estimates.append(fit_report(data).effective_dimension)
             average = float(np.mean(estimates))
             assert 0.9 * k <= average <= 1.1 * k, (k, average)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from gaussdist import __version__, cli, specfun
 from gaussdist.cli import _parse_dataset, _read_sample_file, main
-from gaussdist.diagnostics import DatasetMatrix, FitReport, fit_report, standardize
+from gaussdist.diagnostics import FitReport, fit_report, standardize
 
 from _oracles import INV_SQRT_PI, TWO_SQRT_LN2
 
@@ -479,12 +481,19 @@ class TestDiagnose:
         assert "line 5: row 1, column 1" in err
 
     def test_no_standardize_trusts_the_data(self, capsys, tmp_path):
+        # Shifted and scaled data: standardizing it changes the report.
         rng = np.random.default_rng(3)
-        raw = rng.standard_normal((100, 5))
-        std = (raw - raw.mean(0)) / raw.std(0, ddof=1)
-        path = self.write_csv(tmp_path, std)
-        code, out, _ = run(capsys, "diagnose", str(path), "--no-standardize")
-        assert code == 0
+        matrix = rng.standard_normal((100, 5)) * [1.0, 2.0, 0.5, 3.0, 1.5] + 4.0
+        path = self.write_csv(tmp_path, matrix)
+        code, out, err = run(capsys, "diagnose", str(path), "--no-standardize")
+        assert (code, err) == (0, "")
+        trusted = json.loads(out)
+        assert trusted == fit_report(matrix).to_dict()
+        code, out, err = run(capsys, "diagnose", str(path))
+        assert (code, err) == (0, "")
+        standardized = json.loads(out)
+        assert standardized == fit_report(standardize(matrix)).to_dict()
+        assert trusted != standardized
 
     def test_more_columns_than_iterative_kernel_allows(self, capsys, tmp_path):
         # 5000 columns put every pair near the bulk of the law at a = 2500,
@@ -503,7 +512,7 @@ class TestDiagnose:
         path = self.write_csv(tmp_path, matrix)
         _, out, _ = run(capsys, "diagnose", str(path))
         payload = json.loads(out.strip())
-        assert payload == fit_report(standardize(DatasetMatrix(matrix))).to_dict()
+        assert payload == fit_report(standardize(matrix)).to_dict()
         assert list(payload) == REPORT_KEYS
 
 
@@ -730,6 +739,11 @@ class TestContrast:
         code, _, _ = run(capsys, "contrast", "--k", "2", "--n", "2", "--seeds", "1")
         assert code == 2
 
+    def test_negative_seed_is_the_sample_usage_error(self, capsys):
+        expected = (2, "", "usage error: seed must be non-negative\n")
+        assert run(capsys, "sample", "--k", "2", "--n", "5", "--seed=-3") == expected
+        assert run(capsys, "contrast", "--k", "2", "--n", "5", "--seeds=-3,4") == expected
+
     @pytest.mark.parametrize("k", ["nan", "inf", "1e400", "1,inf"])
     def test_non_finite_dimension_is_usage_error(self, capsys, k):
         code, out, err = run(capsys, "contrast", "--k", k, "--n", "5", "--seeds", "1")
@@ -933,7 +947,7 @@ def test_benchmark_hook_names_stay_public():
     assert "DistanceDistribution" in distribution.__all__
     assert callable(distribution.DistanceDistribution.quantile)
     assert callable(distribution.DistanceDistribution.sample)
-    assert {"simulate_pairs", "ks_one_sample", "ks_two_sample"} <= set(montecarlo.__all__)
+    assert {"simulate_pairs", "ks_one_sample"} <= set(montecarlo.__all__)
     assert "pairwise_distances" in diagnostics.__all__
 
     # The package re-exports exactly the layers' public names.
@@ -942,13 +956,37 @@ def test_benchmark_hook_names_stay_public():
     # Names only tests ever called were deleted; numpy, scipy and
     # moment_set give the same numbers.
     deleted = {
-        montecarlo: ("ecdf", "sample_moments", "SampleMoments"),
+        montecarlo: ("ecdf", "sample_moments", "SampleMoments", "ks_two_sample"),
         moments: ("central_moment", "skewness", "kurtosis"),
+        diagnostics: ("DatasetMatrix", "distance_pvalue"),
     }
     for module, names in deleted.items():
         for name in names:
             assert not hasattr(gaussdist, name) and not hasattr(module, name), name
     assert not hasattr(FitReport, "from_dict")
+
+
+def test_benchmark_tracer_counts_the_pairs_of_an_array(capsys, tmp_path):
+    # benchmark/trace_layers.py counts pairs from the `.data` of the first
+    # argument of pairwise_distances, which for a float matrix is a
+    # memoryview of the matrix's shape.
+    spec = importlib.util.spec_from_file_location(
+        "trace_layers", Path(__file__).parents[1] / "benchmark" / "trace_layers.py"
+    )
+    trace_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_layers)
+    rows = 23
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.random.default_rng(6).standard_normal((rows, 4)), delimiter=",")
+    tracer = trace_layers.Tracer()
+    tracer.install()
+    try:
+        code = main(["diagnose", str(path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    capsys.readouterr()
+    assert tracer.counters["diagnostics.pairs"] == rows * (rows - 1) // 2
 
 
 class TestAllocationFailure:
