@@ -41,6 +41,11 @@ __all__ = [
     "relative_contrast_curve",
 ]
 
+# Rows per block of pairwise_distances: two blocks of 128 x rows doubles
+# sit beside the result, and up to 128 rows one x @ x.T covers the dataset.
+_PAIR_BLOCK = 128
+
+
 def _checked_matrix(data) -> np.ndarray:
     """data as a float array, refused unless 2-D, finite, >= 2 rows and >= 1 column."""
     data = np.asarray(data, dtype=float)
@@ -72,14 +77,37 @@ def standardize(data) -> np.ndarray:
 
 
 def pairwise_distances(data) -> EmpiricalSample:
-    """All rows*(rows-1)/2 Euclidean distances between rows, sorted."""
+    """All rows*(rows-1)/2 Euclidean distances between rows, sorted.
+
+    Squared distances are (sq_i + sq_j) - 2 g_ij, from the Gram matrix of
+    _PAIR_BLOCK rows at a time against themselves and every later row, so
+    no rows x rows array is formed.  A vector of all the distances above
+    _MAX_ARRAY_BYTES is refused before it is allocated.
+    """
     x = _checked_matrix(data)
+    rows = len(x)
+    count = rows * (rows - 1) // 2
+    _check_array_size(count, 1, f"a vector of the {count} distances between {rows} rows")
     sq = np.sum(x**2, axis=1)
-    gram = x @ x.T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    # A boolean mask keeps the row-major order of triu_indices without
-    # its two int64 index arrays of rows*(rows-1)/2 entries.
-    values = d2[np.triu(np.ones((len(x), len(x)), dtype=bool), 1)]
+    # The leading m x m of this mask is the strict upper triangle of any m <= block.
+    block = min(rows, _PAIR_BLOCK)
+    upper = np.triu(np.ones((block, block), dtype=bool), 1)
+    values = None if rows == block else np.empty(count)
+    end = 0
+    for a in range(0, rows, block):
+        b = min(a + block, rows)
+        m = b - a
+        gram = x[a:b] @ x[a:].T
+        gram *= 2.0
+        d2 = sq[a:b, None] + sq[None, a:]
+        d2 -= gram
+        triangle = d2[:, :m][upper[:m, :m]]
+        if values is None:  # the one block: its triangle is the whole vector
+            values = triangle
+        else:  # the block's pairs among themselves, then with every later row
+            for part in (triangle, d2[:, m:]):
+                start, end = end, end + part.size
+                values[start:end].reshape(part.shape)[...] = part
     np.maximum(values, 0.0, out=values)
     np.sqrt(values, out=values)
     return EmpiricalSample(values)

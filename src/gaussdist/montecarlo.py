@@ -41,9 +41,10 @@ KS_COEFF_01 = 1.63
 _BRACKET_MIN = 4096
 _BRACKET_MARGIN = 1e-9
 
-# Largest single array of doubles a simulation may ask for.  The ziggurat
-# draws consume the stream unevenly, so splitting the columns of a draw
-# would change its values; a draw above this is refused instead.
+# Largest single array of doubles a simulation, or the pairwise distances
+# of a dataset, may ask for.  The ziggurat draws consume the stream
+# unevenly, so splitting the columns of a draw would change its values;
+# a draw above this is refused instead.
 _MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -57,9 +58,10 @@ class EmpiricalSample:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("sample needs at least one value")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ValueError("distances must be finite and non-negative")
         values = np.sort(values)
+        # NaN sorts last and -inf first, so the two ends decide.
+        if not (values[0] >= 0.0 and math.isfinite(values[-1])):
+            raise ValueError("distances must be finite and non-negative")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -95,12 +97,15 @@ def _integer_dimension(k) -> int:
     return int(kf)
 
 
-def _check_array_size(rows: int, cols: int) -> None:
-    """Refuse a rows x cols array of doubles larger than _MAX_ARRAY_BYTES."""
+def _check_array_size(rows: int, cols: int, what: str | None = None) -> None:
+    """Refuse a rows x cols array of doubles larger than _MAX_ARRAY_BYTES.
+
+    what names the array in the message, by default by its shape.
+    """
     nbytes = 8 * rows * cols
     if nbytes > _MAX_ARRAY_BYTES:
         raise ValueError(
-            f"a {rows} x {cols} array of doubles needs {nbytes / 2**30:.3g} GiB, "
+            f"{what or f'a {rows} x {cols} array of doubles'} needs {nbytes / 2**30:.3g} GiB, "
             f"above the {_MAX_ARRAY_BYTES / 2**30:g} GiB limit"
         )
 

@@ -1023,6 +1023,18 @@ class TestAllocationFailure:
         assert err.startswith(f"usage error: a {shape} array of doubles needs ")
         assert err.endswith(" GiB, above the 1 GiB limit\n") and err.count("\n") == 1
 
+    def test_distances_above_the_limit_are_a_data_error(self, capsys, monkeypatch, tmp_path):
+        # 30 rows have 435 pairs, 8 bytes above a limit of 434 doubles.
+        from gaussdist import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 434)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((30, 4)), delimiter=",")
+        code, out, err = run(capsys, "diagnose", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: a vector of the 435 distances between 30 rows")
+        assert err.count("\n") == 1
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from gaussdist.diagnostics import (
     effective_dimension,
@@ -96,6 +98,50 @@ class TestPairwiseDistances:
         sample = pairwise_distances(standardize(normal_dataset(20, 4, 3)))
         assert sample.n == 20 * 19 // 2
         assert np.all(np.diff(sample.values) >= 0.0)
+
+    @pytest.mark.parametrize("cols", [1, 800])
+    @pytest.mark.parametrize("rows", [2, 127, 128, 129, 257])
+    def test_blocks_cover_every_pair_once(self, rows, cols):
+        # Small integer coordinates make every square, Gram entry and
+        # squared distance exact, so the sorted distances equal scipy's
+        # bit for bit whatever the blocks; a pair missed, repeated or
+        # taken from the wrong rows shows.
+        rng = np.random.default_rng(rows * cols)
+        data = rng.integers(-8, 9, size=(rows, cols)).astype(float)
+        sample = pairwise_distances(data)
+        assert sample.n == rows * (rows - 1) // 2
+        assert np.array_equal(sample.values, np.sort(pdist(data)))
+
+    @pytest.mark.parametrize("rows", [127, 128, 129, 257])
+    def test_normal_rows_match_scipy(self, rows):
+        data = normal_dataset(rows, 800, rows)
+        want = np.sort(pdist(data))
+        assert pairwise_distances(data).values == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_work_memory_is_the_vector_its_sorted_copy_and_one_block(self):
+        # 1000 x 40: the vector and its sorted copy are 3.8 MiB each and a
+        # block two 128 x 1000 arrays; an n x n array is 7.6 MiB.
+        data = normal_dataset(1000, 40, 5)
+        tracemalloc.start()
+        try:
+            pairwise_distances(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_refuses_a_distance_vector_above_the_limit(self, monkeypatch):
+        # At 1 GiB, 16384 rows have 2^30 - 65536 bytes of distances and
+        # 16385 rows 65536 bytes more; the refusal allocates nothing.
+        with pytest.raises(ValueError, match="between 16385 rows needs 1 GiB"):
+            pairwise_distances(np.zeros((16385, 1)))
+        # 100 rows have 4950 pairs; the limit is set to their bytes.
+        from gaussdist import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 4950)
+        assert pairwise_distances(normal_dataset(100, 3, 0)).n == 4950
+        with pytest.raises(ValueError, match=r"the 5050 distances between 101 rows needs .* GiB"):
+            pairwise_distances(normal_dataset(101, 3, 0))
 
     def test_simulated_null_data_passes_ks(self):
         # Pairwise distances share points, so the nominal iid critical

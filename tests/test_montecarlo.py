@@ -30,6 +30,14 @@ class TestEmpiricalSample:
         with pytest.raises(ValueError):
             EmpiricalSample([0.5, math.inf])
 
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    def test_rejects_a_value_outside_zero_to_infinity(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            EmpiricalSample([0.5, bad, 2.0])
+
+    def test_accepts_negative_zero(self):
+        assert EmpiricalSample([0.5, -0.0]).n == 2
+
     def test_values_frozen(self):
         s = EmpiricalSample([1.0, 2.0])
         with pytest.raises(ValueError):
