@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import montecarlo
 from .distribution import DistanceDistribution
 from .moments import _variance_deficit, moment_set, raw_moment
 from .montecarlo import (
@@ -87,12 +88,17 @@ def pairwise_distances(data) -> EmpiricalSample:
     x = _checked_matrix(data)
     rows = len(x)
     count = rows * (rows - 1) // 2
-    _check_array_size(count, 1, f"a vector of the {count} distances between {rows} rows")
+    nbytes = 8 * count
+    if nbytes > montecarlo._MAX_ARRAY_BYTES:
+        raise ValueError(
+            f"the {count} distances between {rows} rows need {nbytes / 2**30:.6g} GiB, "
+            f"above the {montecarlo._MAX_ARRAY_BYTES / 2**30:g} GiB limit"
+        )
     sq = np.sum(x**2, axis=1)
     # The leading m x m of this mask is the strict upper triangle of any m <= block.
     block = min(rows, _PAIR_BLOCK)
     upper = np.triu(np.ones((block, block), dtype=bool), 1)
-    values = None if rows == block else np.empty(count)
+    values = np.empty(count)
     end = 0
     for a in range(0, rows, block):
         b = min(a + block, rows)
@@ -101,13 +107,10 @@ def pairwise_distances(data) -> EmpiricalSample:
         gram *= 2.0
         d2 = sq[a:b, None] + sq[None, a:]
         d2 -= gram
-        triangle = d2[:, :m][upper[:m, :m]]
-        if values is None:  # the one block: its triangle is the whole vector
-            values = triangle
-        else:  # the block's pairs among themselves, then with every later row
-            for part in (triangle, d2[:, m:]):
-                start, end = end, end + part.size
-                values[start:end].reshape(part.shape)[...] = part
+        # The block's pairs among themselves, then with every later row.
+        for part in (d2[:, :m][upper[:m, :m]], d2[:, m:]):
+            start, end = end, end + part.size
+            values[start:end].reshape(part.shape)[...] = part
     np.maximum(values, 0.0, out=values)
     np.sqrt(values, out=values)
     return EmpiricalSample(values)

@@ -97,15 +97,12 @@ def _integer_dimension(k) -> int:
     return int(kf)
 
 
-def _check_array_size(rows: int, cols: int, what: str | None = None) -> None:
-    """Refuse a rows x cols array of doubles larger than _MAX_ARRAY_BYTES.
-
-    what names the array in the message, by default by its shape.
-    """
+def _check_array_size(rows: int, cols: int) -> None:
+    """Refuse a rows x cols array of doubles larger than _MAX_ARRAY_BYTES."""
     nbytes = 8 * rows * cols
     if nbytes > _MAX_ARRAY_BYTES:
         raise ValueError(
-            f"{what or f'a {rows} x {cols} array of doubles'} needs {nbytes / 2**30:.3g} GiB, "
+            f"a {rows} x {cols} array of doubles needs {nbytes / 2**30:.6g} GiB, "
             f"above the {_MAX_ARRAY_BYTES / 2**30:g} GiB limit"
         )
 

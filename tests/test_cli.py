@@ -1032,7 +1032,7 @@ class TestAllocationFailure:
         np.savetxt(path, np.random.default_rng(3).standard_normal((30, 4)), delimiter=",")
         code, out, err = run(capsys, "diagnose", str(path))
         assert (code, out) == (3, "")
-        assert err.startswith(f"error: {path}: a vector of the 435 distances between 30 rows")
+        assert err.startswith(f"error: {path}: the 435 distances between 30 rows need ")
         assert err.count("\n") == 1
 
 

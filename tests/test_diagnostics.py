@@ -133,14 +133,18 @@ class TestPairwiseDistances:
     def test_refuses_a_distance_vector_above_the_limit(self, monkeypatch):
         # At 1 GiB, 16384 rows have 2^30 - 65536 bytes of distances and
         # 16385 rows 65536 bytes more; the refusal allocates nothing.
-        with pytest.raises(ValueError, match="between 16385 rows needs 1 GiB"):
+        with pytest.raises(
+            ValueError,
+            match=r"^the 134225920 distances between 16385 rows need 1\.00006 GiB, "
+            r"above the 1 GiB limit$",
+        ):
             pairwise_distances(np.zeros((16385, 1)))
         # 100 rows have 4950 pairs; the limit is set to their bytes.
         from gaussdist import montecarlo
 
         monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 4950)
         assert pairwise_distances(normal_dataset(100, 3, 0)).n == 4950
-        with pytest.raises(ValueError, match=r"the 5050 distances between 101 rows needs .* GiB"):
+        with pytest.raises(ValueError, match=r"the 5050 distances between 101 rows need .* GiB"):
             pairwise_distances(normal_dataset(101, 3, 0))
 
     def test_simulated_null_data_passes_ks(self):

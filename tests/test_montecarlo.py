@@ -91,6 +91,12 @@ class TestSimulatePairs:
         with pytest.raises(ValueError, match="GiB limit"):
             simulate_pairs(2**30 // 2048 + 1, 1000, 0)
 
+    def test_size_just_above_the_limit_shows_the_excess(self):
+        # 2^27 doubles are exactly 1 GiB; 1024 more are 8 KiB above it.
+        montecarlo._check_array_size(2**27, 1)
+        with pytest.raises(ValueError, match=r"needs 1\.00001 GiB, above the 1 GiB limit$"):
+            montecarlo._check_array_size(2**27 + 1024, 1)
+
     def test_array_limit_counts_the_rows_drawn(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 10 * 3)
         assert simulate_pairs(3, 10, 0).n == 10

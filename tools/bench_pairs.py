@@ -2,14 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --label NAME [--seed 1] [--workload NAME ...]
+    python3 tools/bench_pairs.py --label NAME [--seed 1]
 
 The parent is the HEAD commit, extracted with `git archive` into a
 temporary directory, so a run that is cut short leaves nothing registered
 in the repository; the change is the working tree as it stands.  Both run
 their own unchanged `benchmark/run.py` on every workload of BENCHMARK.json,
-or on those named by `--workload` (repeatable), for its `run_seconds`,
-untraced.  There are 10 pairs; pair i uses seed
+for its `run_seconds`, untraced.  There are 10 pairs; pair i uses seed
 `--seed` + i - 1; odd pairs run the parent first, even pairs the change,
 and within a pair every workload runs on both sides before the next
 workload starts.
@@ -146,20 +145,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--seed", type=int, default=1, help="seed of pair 1")
-    parser.add_argument("--workload", action="append",
-                        help="run only this workload (repeatable; default: all)")
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     bench = json.loads((root / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     names = [w["name"] for w in bench["workloads"]]
-    unknown = sorted(set(args.workload or ()) - set(names))
-    if unknown:
-        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has "
-                     f"{', '.join(names)}")
-    if args.workload:
-        names = [name for name in names if name in args.workload]
     seconds = bench["run_seconds"]
     parent = git(root, "rev-parse", "HEAD").decode().strip()
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=all", "--", "src"))
