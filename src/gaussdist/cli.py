@@ -1,13 +1,12 @@
 """Command-line surface for the distance-distribution toolkit.
 
 Exit codes: 0 success (and KS pass for `test`), 1 statistical failure,
-2 usage error (including a dimension k past the point where
-log Gamma(k/2) overflows, about 5.1e305, and a fractional `contrast`
-dimension), 3 I/O or parse error (a bad k in a `test` sample file's
-header included), a computation that did not converge, or an
-allocation that failed (numpy's MemoryError).  Every command is
-deterministic given its full argument list; there are no hidden entropy
-sources and results never depend on --threads.
+2 usage error (including a dimension k below 1 or not finite, and a
+fractional `contrast` dimension), 3 I/O or parse error (a bad k in a
+`test` sample file's header included), a computation that did not
+converge, or an allocation that failed (numpy's MemoryError).  Every
+command is deterministic given its full argument list; there are no
+hidden entropy sources and results never depend on --threads.
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses
@@ -388,9 +387,8 @@ def _parse_seeds(spec: str) -> list[int]:
     try:
         if "," in spec:
             return [int(s) for s in spec.split(",") if s.strip()]
-        count = int(spec)
-        return list(range(count))
-    except ValueError:
+        return list(range(int(spec)))
+    except (ValueError, OverflowError):
         raise ValueError(f"--seeds takes a count or a comma list, got {spec!r}") from None
 
 

@@ -120,21 +120,22 @@ def effective_dimension(mean_distance: float) -> float:
     """The real dimension whose theoretical mean distance matches the input.
 
     Solves m1^2 = 2k - 1 + delta(k/2), delta = 1 - mu2, by the fixed point
-    k <- (m^2 + 1 - delta(k/2))/2, whose slope is at most 0.118 (at k = 1):
-    from delta = 0, k falls to the root and repeats within 18 steps.
-    Clamped at 1 below the k = 1 mean; a mean whose square overflows is
-    a ValueError.
+    k <- 2 (m/2)^2 + 1/2 - delta(k/2)/2, whose slope is at most 0.118 (at
+    k = 1): from delta = 0, k falls to the root and repeats within 18 steps.
+    Clamped at 1 below the k = 1 mean; past about 1.9e154, the mean of
+    the largest finite k, 2 (m/2)^2 overflows and the mean is a ValueError.
     """
     if not (math.isfinite(mean_distance) and mean_distance >= 0.0):
         raise ValueError("mean distance must be finite and non-negative")
     if mean_distance <= raw_moment(1.0, 1):
         return 1.0
-    top = mean_distance * mean_distance + 1.0
-    if top == math.inf:
-        raise ValueError(f"mean distance {mean_distance} is too large: its square overflows")
-    k = 0.5 * top
+    half = 0.5 * mean_distance
+    half_top = 2.0 * (half * half) + 0.5
+    if half_top == math.inf:
+        raise ValueError(f"mean distance {mean_distance} is too large: no finite k has that mean")
+    k = half_top
     for _ in range(40):
-        k, last = 0.5 * (top - _variance_deficit(0.5 * k)), k
+        k, last = half_top - 0.5 * _variance_deficit(0.5 * k), k
         if k == last:
             break
     return k

@@ -115,6 +115,7 @@ def _blocked_draw(
     threads: int = 1,
 ) -> np.ndarray:
     """Concatenate per-block draws; block boundaries fix the streams."""
+    _check_array_size(n, 1)
     sizes = []
     remaining = n
     while remaining > 0:

@@ -133,10 +133,11 @@ class TestEval:
         values = [float(line.split()[1]) for line in out.splitlines()]
         assert len(values) == 3 and values[0] < values[1] < values[2]
 
-    def test_dimension_past_log_gamma_overflow_is_usage_error(self, capsys):
+    def test_dimension_past_log_gamma_overflow_is_accepted(self, capsys):
+        # log Gamma(k/2) overflows past k ~ 5.1e305, but the law never
+        # forms it: every finite k >= 1 is a dimension.
         code, out, err = run(capsys, "eval", "--k", "1.7e308", "--which", "pdf", "--at", "1")
-        assert code == 2
-        assert out == "" and "dimension" in err
+        assert (code, out, err) == (0, "1.0 0.0\n", "")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -144,9 +145,9 @@ class TestEval:
         data=st.data(),
     )
     def test_any_dimension_and_point_prints_finite_rows(self, which, data):
-        # k log-uniform over the README's range [1, 5e305]; distances
-        # log-uniform in [1e-300, 1e150], probabilities uniform in [0, 1).
-        log_k = data.draw(st.floats(0.0, math.log(5e305)))
+        # k log-uniform over every finite k >= 1; distances log-uniform
+        # in [1e-300, 1e150], probabilities uniform in [0, 1).
+        log_k = data.draw(st.floats(0.0, math.log(sys.float_info.max)))
         if which == "quantile":
             point = st.floats(0.0, 1.0, exclude_max=True)
         else:
@@ -213,6 +214,21 @@ class TestMoments:
                        for key in ("m1", "mu2", "mu3", "mu4", "skewness", "kurtosis"))
         cells = dict(zip(header, map(float, rows[1])))
         assert cells["m3"] == cells["m4"] == math.inf
+
+    def test_rows_at_the_top_of_the_domain(self, capsys):
+        # Raw moments past the double range are inf; the rest are finite.
+        code, out, err = run(capsys, "moments", "--k", "1e306,1e307,1.7e308,1.79e308")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "1e+306 1.414213562373095e+153 2e+306 inf inf 1.0 7.071067811865475e-154 3.0 "
+            "7.071067811865475e-154 3.0",
+            "1e+307 4.4721359549995795e+153 2e+307 inf inf 1.0 2.23606797749979e-154 3.0 "
+            "2.23606797749979e-154 3.0",
+            "1.7e+308 1.8439088914585775e+154 inf inf inf 1.0 5.423261445466406e-155 "
+            "2.9999999999999996 5.423261445466406e-155 2.9999999999999996",
+            "1.79e+308 1.89208879284245e+154 inf inf inf 1.0 5.285164225816908e-155 "
+            "2.9999999999999964 5.285164225816908e-155 2.9999999999999964",
+        ]
 
 
 class TestSample:
@@ -288,13 +304,25 @@ class TestTest:
         assert code == 0
         assert json.loads(out.splitlines()[-1])["k"] == 3.0
 
-    @pytest.mark.parametrize("k", ["nan", "0.5", "1e306"])
+    @pytest.mark.parametrize("k", ["nan", "0.5", "1e400"])
     def test_header_dimension_the_law_refuses_is_data_error(self, capsys, tmp_path, k):
         path = tmp_path / "sample.txt"
         path.write_text(f"# k: {k}\n1.0\n2.0\n1.5\n")
         code, out, err = run(capsys, "test", str(path))
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {path}: bad k in header: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["1e306", "1e307", "1.7e308", "1.79e308"])
+    def test_sample_then_test_at_the_top_of_the_domain(self, capsys, tmp_path, k):
+        # The law is narrower than the spacing of doubles here, so the KS
+        # verdict may fail, but the run is no usage or data error, and the
+        # sample's mean has an effective dimension.
+        path = tmp_path / "sample.txt"
+        assert run(capsys, "sample", "--k", k, "--n", "200", "--seed", "3",
+                   "--output", str(path))[0] == 0
+        code, out, err = run(capsys, "test", str(path))
+        assert code in (0, 1) and err == ""
+        assert math.isfinite(json.loads(out.splitlines()[-1])["effective_dimension"])
 
     def test_argument_dimension_the_law_refuses_stays_usage_error(self, capsys, tmp_path):
         path = tmp_path / "sample.txt"
@@ -338,12 +366,14 @@ class TestTest:
         assert err.startswith(f"error: {path}: mean distance") and err.count("\n") == 1
 
     def test_mean_past_sum_overflow_is_one_error_line(self, capsys, tmp_path):
-        # The sum overflows, the mean 1.35e308 does not; its square does.
+        # The sum overflows, the mean 1.35e308 does not, but no finite k
+        # has a mean above about 1.9e154.
         path = tmp_path / "huge.txt"
         path.write_text("1.7e308\n1e308\n")
         code, out, err = run(capsys, "test", str(path), "--k", "3")
         assert (code, out) == (3, "")
-        assert err == f"error: {path}: mean distance 1.35e+308 is too large: its square overflows\n"
+        assert err == (f"error: {path}: mean distance 1.35e+308 is too large: "
+                       "no finite k has that mean\n")
 
     def test_variance_past_square_overflow_is_reported(self, capsys, tmp_path):
         # Squared deviations of 1e154 overflow; the variance 1.67e307 does not.
@@ -812,7 +842,7 @@ def command_pools(tmp_path_factory):
     threads = ("1", "2", "0", "x")
     return {
         "eval": ((), {
-            "--k": ("1", "2.5", "7", "1e20", *BAD_NUMBERS),
+            "--k": ("1", "2.5", "7", "1e20", "1.7e308", *BAD_NUMBERS),
             "--which": ("pdf", "cdf", "survival", "quantile", "bogus"),
             "--grid": ("0:8:0.25", "0:1:0.5", "1:0:1", "0:1:0", "0:nan:1", "a:b", ""),
             "--at": ("0.5", "0,0.25,1", ",", "2", *BAD_NUMBERS),
@@ -846,7 +876,8 @@ def command_pools(tmp_path_factory):
         "contrast": ((), {
             "--k": ("1", "1,10", "1000", "2.5", ",", "1,inf", *BAD_NUMBERS),
             "--n": ("3", "30", "100", "2", "-1", "x"),
-            "--seeds": ("1", "3", "7,9", "0", "", ",", "-1", "1,-2", "x"),
+            "--seeds": ("1", "3", "7,9", "0", "", ",", "-1", "1,-2", "x",
+                        "99999999999999999999999999"),
             "--output": outputs,
         }),
     }
@@ -1014,6 +1045,7 @@ class TestAllocationFailure:
         [
             (["sample", "--k", "600000", "--n", "1000", "--method", "direct"], "256 x 600000"),
             (["contrast", "--k", "3,10000000", "--n", "100", "--seeds", "1"], "100 x 10000000"),
+            (["sample", "--k", "3", "--n", str(2**27 + 1)], "134217729 x 1"),
         ],
     )
     def test_array_above_the_limit_is_a_usage_error(self, capsys, argv, shape):

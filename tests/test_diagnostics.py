@@ -190,7 +190,7 @@ class TestDistancePvalue:
 
 class TestEffectiveDimension:
     @pytest.mark.parametrize(
-        "k", [1.0, 1.0000001, 1.01, 2.5, 7.0, 50.0, 400.0, 1e6, 1e12, 1e300]
+        "k", [1.0, 1.0000001, 1.01, 2.5, 7.0, 50.0, 400.0, 1e6, 1e12, 1e300, 1.79e308]
     )
     def test_inverts_the_mean(self, k):
         mean = raw_moment(k, 1)
@@ -207,9 +207,10 @@ class TestEffectiveDimension:
         with pytest.raises(ValueError):
             effective_dimension(-1.0)
 
-    @pytest.mark.parametrize("mean", [1.35e154, 1e200, 1.7e308])
+    @pytest.mark.parametrize("mean", [1.9e154, 1e200, 1.7e308])
     def test_rejects_a_mean_whose_square_overflows(self, mean):
-        with pytest.raises(ValueError, match="too large"):
+        # Past about 1.9e154, the mean at the largest finite k.
+        with pytest.raises(ValueError, match="too large: no finite k has that mean"):
             effective_dimension(mean)
 
 
@@ -292,10 +293,10 @@ class TestFitReport:
             sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
 
     def test_mean_past_sum_overflow_is_value_error(self):
-        # The sum overflows, the mean does not; no dimension has a mean
-        # whose square overflows.
+        # The sum overflows, the mean does not; no finite dimension has a
+        # mean above about 1.9e154.
         sample = EmpiricalSample(np.array([1.7e308, 1e308]))
-        with pytest.raises(ValueError, match=r"1\.35e\+308 is too large: its square overflows"):
+        with pytest.raises(ValueError, match=r"1\.35e\+308 is too large: no finite k has that mean"):
             sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erfinv
 from scipy.stats import chi
 
-from gaussdist.distribution import DistanceDistribution
+from gaussdist.distribution import DistanceDistribution, _quarter_square
 from gaussdist.montecarlo import ks_one_sample, simulate_pairs
 from gaussdist.moments import moment_set, raw_moment
 
@@ -171,8 +171,9 @@ class TestSurvival:
 
 
 class TestPastTheSquareOverflow:
-    # Past r ~ 1.34e154 r^2/4 overflows; the law there is 0 density and
-    # all of its mass, with no numpy warning (warnings fail the suite).
+    # Past r ~ 2.68e154 (r/2)^2 overflows; the law there, and from
+    # 1.35e154 on, is 0 density and all of its mass, with no numpy
+    # warning (warnings fail the suite).
     RS = [1.35e154, 1e200, 1.7e308]
 
     @pytest.mark.parametrize("k", [1, 3, 1e4, 1e300])
@@ -191,6 +192,60 @@ class TestPastTheSquareOverflow:
         for which in (law.pdf, law.cdf, law.survival):
             mixed = which(np.array(near + self.RS))
             assert mixed[:4].tolist() == which(np.array(near)).tolist()
+
+
+class TestQuarterSquare:
+    def test_bits_of_r_squared_over_four_where_normal(self):
+        # r^2/4 is a normal double on this range, where halving is exact.
+        rng = np.random.default_rng(21)
+        r = np.exp(rng.uniform(math.log(2.99e-154), math.log(1.34e154), 2_000_000))
+        assert np.array_equal(_quarter_square(r), r * r / 4.0)
+        assert all(_quarter_square(v) == v * v / 4.0 for v in r[:2000].tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_subnormal_quarter_square_cdf_against_mpmath(self, k):
+        # Below r ~ 2.98e-154, r^2/4 is subnormal, and its one rounding,
+        # half a step of 2^-1074, moves cdf ~ x^(k/2) by up to
+        # (k/2) 2^-1075/x relative.  Worst over this sweep, at r ~ 1.4e-160
+        # (x ~ 5e-321): 2.3e-4 at k = 1 and 4.6e-4 at k = 2, against
+        # 2.7e-4 and 5.4e-4 for r * r / 4, which rounds twice.  At k = 3
+        # the cdf, below 1e-460, is 0, the double nearest it.
+        rng = np.random.default_rng(22)
+        law = DistanceDistribution(k)
+        for r in np.exp(rng.uniform(math.log(1e-160), math.log(2.98e-154), 200)).tolist():
+            with mpmath.workdps(50):
+                exact_x = (mpmath.mpf(r) / 2) ** 2
+            ref = float(reference_gamma_pq(k / 2.0, exact_x)[0])
+            x = float(exact_x)
+            # 2^-1075 itself rounds to 0, so a half step is 0.5 * 2^-1074.
+            tol = ref * (0.25 * k * (2.0**-1074 / x) * 1.001 + 1e-12) + 2.0**-1074
+            assert abs(law.cdf(r) - ref) <= tol, r
+
+
+class TestTopOfTheDomain:
+    """Every finite k >= 1: the law at k where log Gamma(k/2) overflows."""
+
+    @pytest.mark.parametrize("k", [1e306, 1e307, 1.7e308, 1.79e308])
+    def test_law_at_the_mean(self, k):
+        # The law is far narrower than the spacing of doubles at its mean,
+        # so cdf steps from 0 to 1 there; at 0.5 where (r/2)^2 is k/2.
+        law = DistanceDistribution(k)
+        mean = 2.0 * math.sqrt(0.5 * k)
+        rs = np.array([math.nextafter(mean, 0.0), mean, math.nextafter(mean, math.inf)])
+        cdf, sf = law.cdf(rs), law.survival(rs)
+        assert np.all(cdf + sf == 1.0)
+        assert (cdf[0], cdf[2]) == (0.0, 1.0) and 0.0 <= cdf[1] <= 1.0
+        if (0.5 * mean) ** 2 == 0.5 * k:
+            assert cdf[1] == sf[1] == 0.5
+        assert law.pdf(mean) > 0.0
+
+    @pytest.mark.parametrize("k", [1e306, 1e307, 1.7e308, 1.79e308])
+    def test_quantile_monotone_in_p(self, k):
+        law = DistanceDistribution(k)
+        ps = [5e-324, 1e-300, 1e-10, 0.001, 0.1, 0.5, 0.6, 0.9, 0.999, 1.0 - 2.0**-53]
+        values = [law.quantile(p) for p in ps]
+        assert values == sorted(values)
+        assert abs(values[5] - 2.0 * math.sqrt(0.5 * k)) <= 2.0 * math.ulp(values[5])
 
 
 class TestQuantile:

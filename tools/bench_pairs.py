@@ -15,7 +15,9 @@ workload starts.
 
 The output holds every result line under `runs`, each tagged with the
 commit it ran, or, for a change with edited or new files under src/, with
-the sha256 of its src/ tree.  Under `summary`, per workload and metric:
+the sha256 of its src/ tree.  Under `summary`, per workload: each side's
+count of failed runs (`failed_runs`; a pair that holds one is left out of
+the metrics, so their `n` falls below 10), and per metric:
 each side's quartiles (linear interpolation, as numpy's default
 percentile), the pairs the change won (ties count for neither side), the
 change of the median and the parent's interquartile range, both relative
@@ -102,15 +104,20 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], workload: str, specs: dict) -> dict:
-    """Per metric: quartiles per side, pairs won, median change, verdict."""
+    """Per side, its failed runs; per metric: quartiles per side, pairs won,
+    median change, verdict.  A pair that holds a failed run is left out."""
     by_pair: dict = {}
+    summary = {"failed_runs": dict.fromkeys(SIDES, 0)}
     for run in runs:
-        if run["workload"] == workload and "metrics" in run["output"]:
+        if run["workload"] != workload:
+            continue
+        if "metrics" in run["output"]:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run["output"]["metrics"]
+        else:
+            summary["failed_runs"][run["side"]] += 1
     pairs = [p for p in by_pair.values() if len(p) == 2]
     if not pairs:
-        return {}
-    summary = {}
+        return summary
     for name in pairs[0]["parent"]:
         values = {side: [p[side][name]["value"] for p in pairs] for side in SIDES}
         spec = specs.get(name, {})
