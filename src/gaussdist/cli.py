@@ -10,7 +10,10 @@ hidden entropy sources and results never depend on --threads.
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses
-it; nothing is carried from one call to the next.
+it; nothing is carried from one call to the next.  When the first
+argument names a command, the rest go straight to that command's own
+parser, the one the top-level parser would hand them to; every message
+and exit code is the same as through the top-level parser.
 
 `--output` overwrites an existing file in place and cuts it to the new
 length; this is not an atomic replace, and a write that fails part-way
@@ -42,7 +45,9 @@ __all__ = ["main"]
 FIG4_DIMENSIONS = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50, 100)
 FIG2_GRID = (0.0, 6.0, 0.01)
 FIG4_GRID = (0.0, 18.0, 0.01)
-MAX_GRID_POINTS = 1_000_000
+# Most points an `eval --grid` may hold, and most seeds `contrast --seeds`
+# may count.
+MAX_COUNT = 1_000_000
 
 
 class DataError(Exception):
@@ -65,8 +70,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if step <= 0.0 or stop < start:
         raise ValueError(f"grid needs start <= stop and step > 0, got {spec!r}")
     span = np.floor((stop - start) / step + 1e-9)
-    if not span < MAX_GRID_POINTS:
-        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
+    if not span < MAX_COUNT:
+        raise ValueError(f"grid has more than {MAX_COUNT} points: {spec!r}")
     return start + step * np.arange(int(span) + 1)
 
 
@@ -121,14 +126,20 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+# The first characters of every spelling float() takes, once stripped:
+# a sign, a digit, a point, or inf/infinity/nan in any case.
+_NUMBER_STARTS = frozenset("0123456789+-.iInN")
+
+
 def _is_number(cell: str) -> bool:
     """Whether numpy's text reader takes cell as a float.
 
     numpy strips the whitespace around a cell and parses the rest as
     float() does, less float()'s underscores and non-ASCII digits.
+    A cell that cannot start a number is refused without a raised error.
     """
     text = cell.strip()
-    if not text.isascii() or "_" in text:
+    if not text or text[0] not in _NUMBER_STARTS or not text.isascii() or "_" in text:
         return False
     try:
         float(text)
@@ -149,10 +160,11 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs --grid start:stop:step or --at v1,v2,...")
     dist = DistanceDistribution(args.k)
     if args.which == "quantile":
-        values = [dist.quantile(float(p)) for p in points]
+        values = [dist.quantile(p) for p in points.tolist()]
     else:
-        values = getattr(dist, args.which)(points)
-    _write_lines(args.output, [f"{_fmt(x)} {_fmt(v)}" for x, v in zip(points, values)])
+        values = getattr(dist, args.which)(points).tolist()
+    # Python floats, whose repr is the text _fmt gives.
+    _write_lines(args.output, [f"{x!r} {v!r}" for x, v in zip(points.tolist(), values)])
     return 0
 
 
@@ -383,13 +395,16 @@ def _cmd_plotdata(args) -> int:
 # -- contrast -------------------------------------------------------------
 
 
-def _parse_seeds(spec: str) -> list[int]:
+def _parse_seeds(spec: str) -> list[int] | range:
     try:
         if "," in spec:
             return [int(s) for s in spec.split(",") if s.strip()]
-        return list(range(int(spec)))
-    except (ValueError, OverflowError):
+        count = int(spec)
+    except ValueError:
         raise ValueError(f"--seeds takes a count or a comma list, got {spec!r}") from None
+    if count > MAX_COUNT:
+        raise ValueError(f"--seeds counts at most {MAX_COUNT} seeds, got {count}")
+    return range(count)
 
 
 def _cmd_contrast(args) -> int:
@@ -498,18 +513,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses: built on the first call, then reused.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser `main` uses and its parser per command: built on the first call, then reused.
 
     Reuse is safe because parse_args makes a fresh Namespace per call and
     argparse looks up sys.stdout and sys.stderr only when it writes.
     """
-    return build_parser()
+    parser = build_parser()
+    (commands,) = (
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it, exiting as it exits.
+
+    The top-level parser hands everything after a command name to that
+    command's parser, and refuses what is left over.  Doing both here
+    skips its own pass over argv, which costs as much as the command's.
+    That pass can fail only on an argument that starts with "--=", which
+    abbreviates both --help and --version, so such an argv, like one not
+    led by a command name, goes through the top-level parser.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -520,5 +561,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DataError, ConvergenceError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Python's own MemoryError carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3

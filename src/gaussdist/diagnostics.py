@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import montecarlo
 from .distribution import DistanceDistribution
 from .moments import _variance_deficit, moment_set, raw_moment
 from .montecarlo import (
     EmpiricalSample,
     _check_array_size,
+    _check_nbytes,
     _check_seed,
     _integer_dimension,
     _substream,
@@ -45,6 +45,9 @@ __all__ = [
 # Rows per block of pairwise_distances: two blocks of 128 x rows doubles
 # sit beside the result, and up to 128 rows one x @ x.T covers the dataset.
 _PAIR_BLOCK = 128
+# Its leading m x m is the strict upper triangle of any m <= _PAIR_BLOCK.
+_UPPER = np.triu(np.ones((_PAIR_BLOCK, _PAIR_BLOCK), dtype=bool), 1)
+_UPPER.flags.writeable = False
 
 
 def _checked_matrix(data) -> np.ndarray:
@@ -88,16 +91,9 @@ def pairwise_distances(data) -> EmpiricalSample:
     x = _checked_matrix(data)
     rows = len(x)
     count = rows * (rows - 1) // 2
-    nbytes = 8 * count
-    if nbytes > montecarlo._MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"the {count} distances between {rows} rows need {nbytes / 2**30:.6g} GiB, "
-            f"above the {montecarlo._MAX_ARRAY_BYTES / 2**30:g} GiB limit"
-        )
+    _check_nbytes(8 * count, f"the {count} distances between {rows} rows need")
     sq = np.sum(x**2, axis=1)
-    # The leading m x m of this mask is the strict upper triangle of any m <= block.
     block = min(rows, _PAIR_BLOCK)
-    upper = np.triu(np.ones((block, block), dtype=bool), 1)
     values = np.empty(count)
     end = 0
     for a in range(0, rows, block):
@@ -108,7 +104,7 @@ def pairwise_distances(data) -> EmpiricalSample:
         d2 = sq[a:b, None] + sq[None, a:]
         d2 -= gram
         # The block's pairs among themselves, then with every later row.
-        for part in (d2[:, :m][upper[:m, :m]], d2[:, m:]):
+        for part in (d2[:, :m][_UPPER[:m, :m]], d2[:, m:]):
             start, end = end, end + part.size
             values[start:end].reshape(part.shape)[...] = part
     np.maximum(values, 0.0, out=values)

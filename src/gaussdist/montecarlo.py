@@ -97,14 +97,19 @@ def _integer_dimension(k) -> int:
     return int(kf)
 
 
+def _check_nbytes(nbytes: int, what: str) -> None:
+    """Refuse nbytes above _MAX_ARRAY_BYTES, as what (a subject and its verb) needs.
+
+    Both sizes print as exact byte counts, so no refused size reads as
+    the limit.
+    """
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} {nbytes} bytes, above the limit of {_MAX_ARRAY_BYTES} bytes")
+
+
 def _check_array_size(rows: int, cols: int) -> None:
     """Refuse a rows x cols array of doubles larger than _MAX_ARRAY_BYTES."""
-    nbytes = 8 * rows * cols
-    if nbytes > _MAX_ARRAY_BYTES:
-        raise ValueError(
-            f"a {rows} x {cols} array of doubles needs {nbytes / 2**30:.6g} GiB, "
-            f"above the {_MAX_ARRAY_BYTES / 2**30:g} GiB limit"
-        )
+    _check_nbytes(8 * rows * cols, f"a {rows} x {cols} array of doubles needs")
 
 
 def _blocked_draw(

@@ -624,6 +624,20 @@ class TestTextReaders:
         assert values.tobytes() == np.asarray(expected).ravel().tobytes()
         assert header == _reference_header(text)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "0", "1", "9", "+", "-", ".", "e", "E", "_", "x", "X", "i", "n", "f", "a", "t", "y",
+        "I", "N", "F", "A", "inf", "nan", "Infinity", "NaN", " ", "\t", "\u0663",
+    ]), max_size=6).map("".join))
+    def test_is_number_matches_float(self, cell):
+        text = cell.strip()
+        try:
+            float(text)
+            parses = text.isascii() and "_" not in text
+        except ValueError:
+            parses = False
+        assert cli._is_number(cell) == parses, cell
+
 
 class TestPlotData:
     def test_fig2_peak_at_origin(self, tmp_path):
@@ -765,6 +779,19 @@ class TestContrast:
                  if not line.startswith(("#", "mean"))]
         assert seeds == ["7", "9"]
 
+    def test_seed_count_above_the_limit_is_usage_error(self, capsys, monkeypatch):
+        # Refused before a seed runs or a list of the count is built.
+        message = "usage error: --seeds counts at most 1000000 seeds, got 1000000000\n"
+        assert run(capsys, "contrast", "--seeds", "1000000000") == (2, "", message)
+        monkeypatch.setattr(cli, "MAX_COUNT", 3)
+        code, out, err = run(capsys, "contrast", "--k", "2", "--n", "5", "--seeds", "3")
+        assert (code, err) == (0, "")
+        seeds = [line.split()[1] for line in out.splitlines()
+                 if not line.startswith(("#", "mean"))]
+        assert seeds == ["0", "1", "2"]
+        code, out, err = run(capsys, "contrast", "--k", "2", "--n", "5", "--seeds", "4")
+        assert (code, out, err) == (2, "", "usage error: --seeds counts at most 3 seeds, got 4\n")
+
     def test_too_few_points_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "contrast", "--k", "2", "--n", "2", "--seeds", "1")
         assert code == 2
@@ -877,7 +904,7 @@ def command_pools(tmp_path_factory):
             "--k": ("1", "1,10", "1000", "2.5", ",", "1,inf", *BAD_NUMBERS),
             "--n": ("3", "30", "100", "2", "-1", "x"),
             "--seeds": ("1", "3", "7,9", "0", "", ",", "-1", "1,-2", "x",
-                        "99999999999999999999999999"),
+                        "1000000000", "99999999999999999999999999"),
             "--output": outputs,
         }),
     }
@@ -901,8 +928,17 @@ def command_lines(draw, pools):
         value = draw(st.sampled_from(flags[flag]))
         argv.extend([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
     if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--k"])))
+        stray = draw(st.sampled_from(["--bogus", "-x", "--k", "--=1"]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
     return argv
+
+
+def outcome(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestAnyCommand:
@@ -911,13 +947,23 @@ class TestAnyCommand:
     def test_every_failure_maps_to_its_exit_code(self, command_pools, data):
         # All draws share one process and so one parser.
         argv = data.draw(command_lines(command_pools))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, _, err = outcome(argv)
         allowed = {0, 1, 2, 3} if argv[:1] == ["test"] else {0, 2, 3}
-        assert code in allowed, (argv, code, err.getvalue())
+        assert code in allowed, (argv, code, err)
         if code == 0:
-            assert err.getvalue() == "", argv
+            assert err == "", argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_command_parser_answers_as_the_top_level_parser(self, command_pools, data):
+        # With no command parsers to dispatch to, main hands every argv to
+        # the top-level parser, as it did before commands were dispatched.
+        argv = data.draw(command_lines(command_pools))
+        parser = cli._parser()[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_parser", lambda: (parser, {}))
+            expected = outcome(argv)
+        assert outcome(argv) == expected, argv
 
 
 class TestParserReuse:
@@ -925,9 +971,10 @@ class TestParserReuse:
         build, builds = cli.build_parser, []
 
         def counting_build():
-            builds.append(1)
-            return build()
+            builds.append(build())
+            return builds[-1]
 
+        old_eval = cli._parser()[1]["eval"]
         monkeypatch.setattr(cli, "build_parser", counting_build)
         cli._parser.cache_clear()
         table = ("eval", "--k", "7", "--which", "pdf", "--grid", "0:8:0.25")
@@ -961,6 +1008,9 @@ class TestParserReuse:
 
         assert run(capsys, *table) == (0, first, "")
         assert len(builds) == 1
+        # The command parsers come from that one build, none from the old.
+        parser, commands = cli._parser()
+        assert parser is builds[0] and commands["eval"] is not old_eval
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -1040,6 +1090,14 @@ class TestAllocationFailure:
         monkeypatch.setattr(cli, name, refuse)
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
+    def test_bare_memory_error_is_named(self, capsys, monkeypatch):
+        # Python's own MemoryError, unlike numpy's, has no message.
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "relative_contrast_curve", refuse)
+        assert run(capsys, "contrast", "--seeds", "1") == (3, "", "error: MemoryError\n")
+
     @pytest.mark.parametrize(
         "argv,shape",
         [
@@ -1049,11 +1107,15 @@ class TestAllocationFailure:
         ],
     )
     def test_array_above_the_limit_is_a_usage_error(self, capsys, argv, shape):
-        # Refused by size before anything is allocated.
+        # Refused by size before anything is allocated; 2^27 + 1 doubles
+        # are 8 bytes above the limit, and the message says so.
+        rows, cols = map(int, shape.split(" x "))
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"usage error: a {shape} array of doubles needs ")
-        assert err.endswith(" GiB, above the 1 GiB limit\n") and err.count("\n") == 1
+        assert err == (
+            f"usage error: a {shape} array of doubles needs {8 * rows * cols} bytes, "
+            f"above the limit of {2**30} bytes\n"
+        )
 
     def test_distances_above_the_limit_are_a_data_error(self, capsys, monkeypatch, tmp_path):
         # 30 rows have 435 pairs, 8 bytes above a limit of 434 doubles.
@@ -1086,3 +1148,37 @@ class TestEntryPoint:
             capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv,code,stdout,last_line",
+        [
+            (["--version"], 0, __version__ + "\n", None),
+            (["frob"], 2, "", "gaussdist: error: argument command: invalid choice: 'frob' "
+             "(choose from 'eval', 'moments', 'sample', 'test', 'diagnose', 'plotdata', "
+             "'contrast')"),
+            (["eval", "--k", "1", "--which", "pdf", "--at", "0", "--bogus"], 2, "",
+             "gaussdist: error: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_top_level_answers(self, argv, code, stdout, last_line):
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussdist", *argv],
+            capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+        if last_line is None:
+            assert proc.stderr == ""
+        else:
+            # The top-level parser's usage, then its error.
+            assert proc.stderr.startswith("usage: gaussdist [-h] [--version]")
+            assert proc.stderr.splitlines()[-1] == last_line
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["gaussdist", "eval", "--k", "1", "--which", "pdf", "--at", "0"]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert capsys.readouterr() == ("0.0 0.5641895835477563\n", "")
+        monkeypatch.setattr(sys, "argv", ["gaussdist", "--version"])
+        assert main() == 0
+        assert capsys.readouterr() == (__version__ + "\n", "")

@@ -135,8 +135,8 @@ class TestPairwiseDistances:
         # 16385 rows 65536 bytes more; the refusal allocates nothing.
         with pytest.raises(
             ValueError,
-            match=r"^the 134225920 distances between 16385 rows need 1\.00006 GiB, "
-            r"above the 1 GiB limit$",
+            match=r"^the 134225920 distances between 16385 rows need 1073807360 bytes, "
+            r"above the limit of 1073741824 bytes$",
         ):
             pairwise_distances(np.zeros((16385, 1)))
         # 100 rows have 4950 pairs; the limit is set to their bytes.
@@ -144,7 +144,11 @@ class TestPairwiseDistances:
 
         monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 4950)
         assert pairwise_distances(normal_dataset(100, 3, 0)).n == 4950
-        with pytest.raises(ValueError, match=r"the 5050 distances between 101 rows need .* GiB"):
+        with pytest.raises(
+            ValueError,
+            match=r"^the 5050 distances between 101 rows need 40400 bytes, "
+            r"above the limit of 39600 bytes$",
+        ):
             pairwise_distances(normal_dataset(101, 3, 0))
 
     def test_simulated_null_data_passes_ks(self):
@@ -364,5 +368,8 @@ class TestRelativeContrast:
 
         monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 20 * 5)
         assert len(relative_contrast_curve([5], 20, 0)) == 1
-        with pytest.raises(ValueError, match="GiB limit"):
+        with pytest.raises(
+            ValueError,
+            match=r"^a 21 x 5 array of doubles needs 840 bytes, above the limit of 800 bytes$",
+        ):
             relative_contrast_curve([5], 21, 0)

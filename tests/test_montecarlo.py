@@ -88,14 +88,19 @@ class TestSimulatePairs:
     def test_refuses_a_block_above_one_gibibyte(self):
         # 256 rows x 524289 columns x 8 bytes is just over 2^30; refused
         # before anything is allocated.
-        with pytest.raises(ValueError, match="GiB limit"):
+        with pytest.raises(ValueError, match="above the limit of 1073741824 bytes$"):
             simulate_pairs(2**30 // 2048 + 1, 1000, 0)
 
     def test_size_just_above_the_limit_shows_the_excess(self):
-        # 2^27 doubles are exactly 1 GiB; 1024 more are 8 KiB above it.
+        # 2^27 doubles are exactly 1 GiB; one more is 8 bytes above it,
+        # which a size rounded to GiB would print as the limit itself.
         montecarlo._check_array_size(2**27, 1)
-        with pytest.raises(ValueError, match=r"needs 1\.00001 GiB, above the 1 GiB limit$"):
-            montecarlo._check_array_size(2**27 + 1024, 1)
+        with pytest.raises(
+            ValueError,
+            match=r"^a 134217729 x 1 array of doubles needs 1073741832 bytes, "
+            r"above the limit of 1073741824 bytes$",
+        ):
+            montecarlo._check_array_size(2**27 + 1, 1)
 
     def test_array_limit_counts_the_rows_drawn(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MAX_ARRAY_BYTES", 8 * 10 * 3)
