@@ -10,40 +10,18 @@ effective dimension, relative contrast).
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    ContrastRow,
-    FitReport,
-    effective_dimension,
-    fit_report,
-    pairwise_distances,
-    relative_contrast_curve,
-    sample_fit_report,
-    standardize,
-)
-from .distribution import DistanceDistribution
-from .moments import MomentSet, moment_set, raw_moment
-from .montecarlo import EmpiricalSample, KsResult, ks_one_sample, simulate_pairs
-from .specfun import ConvergenceError, reg_gamma_p, reg_gamma_q
+from . import diagnostics, distribution, moments, montecarlo, specfun
+from .diagnostics import *
+from .distribution import *
+from .moments import *
+from .montecarlo import *
+from .specfun import *
 
 __all__ = [
     "__version__",
-    "ContrastRow",
-    "ConvergenceError",
-    "DistanceDistribution",
-    "EmpiricalSample",
-    "FitReport",
-    "KsResult",
-    "MomentSet",
-    "effective_dimension",
-    "fit_report",
-    "ks_one_sample",
-    "moment_set",
-    "pairwise_distances",
-    "raw_moment",
-    "reg_gamma_p",
-    "reg_gamma_q",
-    "relative_contrast_curve",
-    "sample_fit_report",
-    "simulate_pairs",
-    "standardize",
+    *diagnostics.__all__,
+    *distribution.__all__,
+    *moments.__all__,
+    *montecarlo.__all__,
+    *specfun.__all__,
 ]

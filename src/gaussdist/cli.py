@@ -7,6 +7,9 @@ fractional `contrast` dimension), 3 I/O or parse error (a bad k in a
 converge, or an allocation that failed (numpy's MemoryError).  Every
 command is deterministic given its full argument list; there are no
 hidden entropy sources and results never depend on --threads.
+`diagnose` is deterministic only for a fixed numpy/BLAS build and BLAS
+thread count: its pairwise distances take Gram blocks from BLAS, whose
+bits move with both (ROADMAP item 3).
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses

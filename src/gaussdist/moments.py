@@ -93,15 +93,18 @@ def raw_moment(k: float, n: int) -> float:
 def moment_set(k: float) -> MomentSet:
     """All moments of the law at dimension k, mutually consistent.
 
-    The chi identities m3 = (2k + 2) m1 and m4 = 4k(k + 2) reduce the
+    m2..m4 come from the chi identities m2 = 2k, m3 = (2k + 2) m1 and
+    m4 = 4k(k + 2), with the bits of ``raw_moment`` (they differ from its
+    products only by exact factors of 2).  The identities reduce the
     binomial expansions to mu3 = 2 m1 delta and mu4 = -3 mu2^2 + 8 mu2
     - 8 (k delta), delta = 1 - mu2; 8 k alone overflows past k ~ 2.2e307.
     """
     k = _validate_k(k)
-    raw = tuple(raw_moment(k, n) for n in range(1, 5))
+    m1 = raw_moment(k, 1)
+    raw = (m1, 2.0 * k, (2.0 * k + 2.0) * m1, 4.0 * k * (k + 2.0))
     deficit = _variance_deficit(k / 2.0)
     mu2 = 1.0 - deficit
-    mu3 = 2.0 * raw[0] * deficit
+    mu3 = 2.0 * m1 * deficit
     mu4 = -3.0 * mu2 * mu2 + 8.0 * mu2 - 8.0 * (k * deficit)
     return MomentSet(
         raw=raw,

@@ -121,22 +121,16 @@ def _blocked_draw(
 ) -> np.ndarray:
     """Concatenate per-block draws; block boundaries fix the streams."""
     _check_array_size(n, 1)
-    sizes = []
-    remaining = n
-    while remaining > 0:
-        sizes.append(min(block, remaining))
-        remaining -= sizes[-1]
+    starts = range(0, n, block)
 
-    def one(idx_size):
-        idx, size = idx_size
-        return draw(_substream(seed, idx), size)
+    def one(start: int) -> np.ndarray:
+        return draw(_substream(seed, start // block), min(block, n - start))
 
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, jobs))
+            parts = list(pool.map(one, starts))
     else:
-        parts = [one(job) for job in jobs]
+        parts = [one(start) for start in starts]
     return np.concatenate(parts)
 
 
@@ -184,7 +178,7 @@ def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsRe
 
     def deviation(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # steps[i] = (i + 1)/n has the bits of np.arange(1, n + 1)/n at i.
-        cdf = np.atleast_1d(dist.cdf(sample.values[i]))
+        cdf = dist.cdf(sample.values[i])
         steps = (i + 1) / n
         return np.maximum(steps - cdf, cdf - (steps - 1.0 / n)), cdf
 

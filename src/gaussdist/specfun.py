@@ -409,7 +409,8 @@ def _reg_gamma_both(a: float, x):
     if arr.size <= _POINTWISE_MAX:
         ps, qs = _reg_gamma_points(a, arr.ravel().tolist())
         return np.array(ps).reshape(arr.shape), np.array(qs).reshape(arr.shape)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+    # NaN compares False, so one comparison refuses NaN and x < 0.
+    if not np.all(arr >= 0.0):
         raise ValueError("incomplete gamma requires x >= 0")
     # P(a, 0) = 0, Q(a, 0) = 1, P(a, inf) = 1 and Q(a, inf) = 0; every
     # other lane is overwritten below.

@@ -585,7 +585,7 @@ def _layout(draw, data_lines, head):
         lines.extend(draw(st.lists(
             st.sampled_from(["", "   ", "# note", "  # k: 1.5", "#", "\t#x: y"]), max_size=2)))
         lines.append(line)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 

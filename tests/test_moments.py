@@ -184,6 +184,32 @@ class TestMomentSet:
     def test_first_raw_moment_one_dimension(self):
         assert moment_set(1).raw[0] == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13, abs=0)
 
+    @staticmethod
+    def last_finite(n, lo, hi):
+        """The largest double k in [lo, hi) at which raw_moment(k, n) is finite."""
+        while math.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2.0
+            if math.isinf(raw_moment(mid, n)):
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+    def test_raw_moments_are_raw_moment_to_the_bit(self):
+        # m2..m4 come from the chi identities; they must carry the bits
+        # of raw_moment's products, inf where those overflow.
+        rng = np.random.default_rng(23)
+        ks = [float(k) for k in range(1, 201)]
+        ks += (10.0 ** rng.uniform(0.0, math.log10(1.7e308), 2000)).tolist()
+        for n, edge in ((4, 6.7e153), (3, 1.59e205)):
+            last = self.last_finite(n, edge * 0.99, edge * 1.01)
+            assert math.isinf(raw_moment(math.nextafter(last, math.inf), n))
+            ks += [last * (1.0 + j * 2.0**-52) for j in range(-100, 101)]
+            ks += (edge * rng.uniform(0.99, 1.01, 200)).tolist()
+        for k in ks:
+            expected = tuple(raw_moment(k, n).hex() for n in range(1, 5))
+            assert tuple(m.hex() for m in moment_set(k).raw) == expected, k
+
     @pytest.mark.parametrize("k", [1, 2, 3.5, 12, 64, 1000])
     def test_internal_consistency(self, k):
         ms = moment_set(k)

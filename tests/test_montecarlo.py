@@ -56,6 +56,13 @@ class TestSimulatePairs:
         b = simulate_pairs(2, n, 5, threads=4)
         assert np.array_equal(a.values, b.values)
 
+    def test_blocks_draw_from_their_own_substreams(self):
+        # Block i covers values [i * block, (i + 1) * block) and draws them
+        # from substream i; the last block is short.
+        values = montecarlo._blocked_draw(10, 7, 4, lambda rng, size: rng.random(size))
+        expected = [montecarlo._substream(7, i).random(size) for i, size in enumerate((4, 4, 2))]
+        assert np.array_equal(values, np.concatenate(expected))
+
     def test_one_dimensional_mean(self):
         n = 10**6
         sample = simulate_pairs(1, n, 0)
@@ -123,6 +130,19 @@ class TestKsOneSample:
         result = ks_one_sample(sample, DistanceDistribution(20))
         assert not result.passed
         assert result.statistic > 0.5
+
+    @pytest.mark.parametrize("n, stated", [
+        (2, "0"), (3, "0.00041"), (10, "0.0054"), (100, "0.0087"),
+        (1000, "0.0095"), (100_000, "0.0098"),
+    ])
+    def test_size_of_the_test_is_the_readme_table(self, n, stated):
+        # README: the chance that a true null fails (D >= critical), by the
+        # exact law of D, at most 0.01 at every n.
+        sample = EmpiricalSample(np.arange(1.0, n + 1.0))
+        critical = ks_one_sample(sample, DistanceDistribution(3)).critical_value_01
+        size = stats.kstwo.sf(critical, n)
+        assert f"{size:.2g}" == stated
+        assert size <= 0.01
 
     def test_single_point_at_median(self):
         sample = EmpiricalSample([TWO_SQRT_LN2])
