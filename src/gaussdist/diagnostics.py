@@ -117,7 +117,8 @@ def effective_dimension(mean_distance: float) -> float:
 
     Solves m1^2 = 2k - 1 + delta(k/2), delta = 1 - mu2, by the fixed point
     k <- 2 (m/2)^2 + 1/2 - delta(k/2)/2, whose slope is at most 0.118 (at
-    k = 1): from delta = 0, k falls to the root and repeats within 18 steps.
+    k = 1): from delta = 0, k falls to the root, and the first step that
+    does not lower k (rounding can cycle two doubles) ends it within 18.
     Clamped at 1 below the k = 1 mean; past about 1.9e154, the mean of
     the largest finite k, 2 (m/2)^2 overflows and the mean is a ValueError.
     """
@@ -131,9 +132,10 @@ def effective_dimension(mean_distance: float) -> float:
         raise ValueError(f"mean distance {mean_distance} is too large: no finite k has that mean")
     k = half_top
     for _ in range(40):
-        k, last = half_top - 0.5 * _variance_deficit(0.5 * k), k
-        if k == last:
+        step = half_top - 0.5 * _variance_deficit(0.5 * k)
+        if step >= k:
             break
+        k = step
     return k
 
 

@@ -38,28 +38,23 @@ _QUANTILE_MAX_ITER = 200
 _SAMPLE_BLOCK = 1 << 20
 
 
-def _validate_r(r):
-    """r as a float if it is a scalar, else as a float array."""
+def _gamma_variate(r):
+    """r, checked, and the gamma variate r^2/4: two floats or two arrays.
+
+    A scalar r comes back as a float, anything else as a float array.
+    r^2/4 is formed as (r/2)^2: +inf only past r ~ 2.68e154, and the bits
+    of r * r / 4 where that is a normal double; one rounding, not two, below.
+    """
     if isinstance(r, float) or np.ndim(r) == 0:
         r = float(r)
         if not 0.0 <= r < math.inf:
             raise ValueError("distance must be finite and non-negative")
-        return r
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        return r, (0.5 * r) * (0.5 * r)
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise ValueError("distance must be finite and non-negative")
-    return arr
-
-
-def _quarter_square(r):
-    """r^2/4, the gamma variate, as (r/2)^2: +inf only past r ~ 2.68e154.
-
-    The bits of r * r / 4 where that is a normal double; one rounding, not two, below.
-    """
-    if isinstance(r, float):
-        return (0.5 * r) * (0.5 * r)
     with np.errstate(over="ignore"):
-        return (0.5 * r) * (0.5 * r)
+        return r, (0.5 * r) * (0.5 * r)
 
 
 def _normal_tail_quantile(t: float) -> float:
@@ -87,8 +82,7 @@ class DistanceDistribution:
 
     def pdf(self, r):
         """Density at r; the r = 0 limit is 1/sqrt(pi) for k = 1, else 0."""
-        r = _validate_r(r)
-        x = _quarter_square(r)
+        r, x = _gamma_variate(r)
         if self.k == 1.0:
             out = np.exp(-x) / _SQRT_PI
             return float(out) if isinstance(r, float) else out
@@ -113,11 +107,11 @@ class DistanceDistribution:
 
     def cdf(self, r):
         """Probability that the distance is at most r."""
-        return reg_gamma_p(self.k / 2.0, _quarter_square(_validate_r(r)))
+        return reg_gamma_p(self.k / 2.0, _gamma_variate(r)[1])
 
     def survival(self, r):
         """Upper-tail probability, computed directly (not as 1 - cdf)."""
-        return reg_gamma_q(self.k / 2.0, _quarter_square(_validate_r(r)))
+        return reg_gamma_q(self.k / 2.0, _gamma_variate(r)[1])
 
     # -- inversion and sampling -----------------------------------------
 

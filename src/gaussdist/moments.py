@@ -22,19 +22,11 @@ __all__ = ["MomentSet", "raw_moment", "moment_set"]
 
 # (Gamma(x+1/2)/Gamma(x))^2 / x = 1 + sum_{i>=1} d_i x^-i, the squared
 # Stirling ratio series, so the chi variance at k = 2x is 2k - 4x(1 + ...)
-# = 1 - 4 sum_{i>=2} d_i x^(1-i) (d_1 = -1/4).  d_2..d_10 are 1/32, 1/128,
-# -5/2048, -23/8192, 53/65536, 593/262144, -5165/8388608,
-# -110123/33554432, 231743/268435456; truncation error < 1e-17 for x > 32.
+# = 1 - 4 sum_{i>=2} d_i x^(1-i) (d_1 = -1/4): d_2..d_10, with power-of-two
+# denominators, so each is exact; truncation error < 1e-17 for x > 32.
 _VARIANCE_TAIL_COEF = (
-    0.03125,
-    0.0078125,
-    -0.00244140625,
-    -0.0028076171875,
-    0.00080871582031250,
-    0.0022621154785156250,
-    -0.000615715980529785156,
-    -0.0032819211483001709,
-    0.000863309949636459351,
+    1 / 32, 1 / 128, -5 / 2048, -23 / 8192, 53 / 65536, 593 / 262144,
+    -5165 / 8388608, -110123 / 33554432, 231743 / 268435456,
 )
 
 

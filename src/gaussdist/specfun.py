@@ -12,16 +12,18 @@ their domain in three:
   when x >= a + 1.
 
 Outside the Temme window both iterations converge in under ~100 steps.
-Each regime computes one tail and obtains the other by complement, so
-P + Q == 1 holds to machine precision by construction.
+Each regime gives one tail and its side, ``(tail, upper)``: Q where
+upper, else P.  Each path forms P and Q from that pair in one place, the
+other tail as 1 - tail, so P + Q == 1 holds to machine precision by
+construction.
 
 A scalar x, or an array of at most ``_POINTWISE_MAX`` (16) points, is
 evaluated one Python float at a time (``_reg_gamma_points``), where
-numpy's per-call cost would dominate; longer arrays run in vectorized
-lanes.  Both paths pick the regime by one rule (``_in_temme_window``,
-then x < a + 1), and each regime has one body that takes a float or an
-array (``_temme_tail``, ``_lower_series``, ``_upper_continued_fraction``),
-so the two give the same bits.
+numpy's per-call cost dominates (measured at ``_POINTWISE_MAX``); longer
+arrays run in vectorized lanes.  Both paths pick the regime by one rule
+(``_in_temme_window``, then x < a + 1), and each regime has one body
+that takes a float or an array (``_temme_tail``, ``_lower_series``,
+``_upper_continued_fraction``), so the two give the same bits.
 
 The Temme coefficients d[k][n] (``_TEMME_COEF``) are the Taylor
 coefficients in eta of c_k(eta), DLMF §8.12.  They were generated in
@@ -56,7 +58,9 @@ _MAX_ITERATIONS = 300
 
 # Inputs of at most this many points are evaluated one Python float at a
 # time (``_reg_gamma_points``), larger arrays by the vectorized lanes; both
-# give the same bits.  Near 16 points the two cost about the same.
+# give the same bits.  On law draws at 16 points the lanes take 1.6-8x as
+# long as the points; the two cost the same somewhere between about 20 and
+# 128 points, depending on a.
 _POINTWISE_MAX = 16
 
 # Temme's uniform expansion is used for a >= _TEMME_MIN_A and
@@ -370,7 +374,8 @@ def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[floa
     """P and Q at each float x >= 0 of xs, one point at a time.
 
     Each point goes to the regime function its array lane would, with
-    a float for x, so the results are the same bits.  What depends on a
+    a float for x, and its ``(tail, upper)`` pair is completed by the
+    same step, so the results are the same bits.  What depends on a
     alone is formed once per call.
     """
     if not all(x >= 0.0 for x in xs):
@@ -380,21 +385,17 @@ def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[floa
     ps, qs = [], []
     for x in xs:
         if x == 0.0 or x == math.inf:
-            p = float(x == math.inf)
-            q = 1.0 - p
+            tail, upper = 0.0, x == math.inf
         elif _in_temme_window(a, x):
             if coef is None:
                 coef = _temme_coef(a)
             tail, upper = _temme_tail(a, x, coef)
-            p, q = (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
         elif x < a + 1.0:
-            p = _lower_series(a, x, peak)
-            q = 1.0 - p
+            tail, upper = _lower_series(a, x, peak), False
         else:
-            q = _upper_continued_fraction(a, x, peak)
-            p = 1.0 - q
-        ps.append(p)
-        qs.append(q)
+            tail, upper = _upper_continued_fraction(a, x, peak), True
+        ps.append(1.0 - tail if upper else tail)
+        qs.append(tail if upper else 1.0 - tail)
     return ps, qs
 
 
@@ -412,27 +413,21 @@ def _reg_gamma_both(a: float, x):
     # NaN compares False, so one comparison refuses NaN and x < 0.
     if not np.all(arr >= 0.0):
         raise ValueError("incomplete gamma requires x >= 0")
-    # P(a, 0) = 0, Q(a, 0) = 1, P(a, inf) = 1 and Q(a, inf) = 0; every
-    # other lane is overwritten below.
-    p = (arr == np.inf).astype(float)
-    q = 1.0 - p
+    # Q where upper, else P.  x = 0 is a lower lane and x = inf an upper
+    # one, and both keep tail 0: P(a, 0) = 0 and Q(a, inf) = 0.
+    tail = np.zeros_like(arr)
+    upper = arr >= a + 1.0
     bulk = _in_temme_window(a, arr)
-    lower = ~bulk & (arr > 0.0) & (arr < a + 1.0)
-    upper = ~bulk & (arr >= a + 1.0) & (arr < np.inf)
     peak = _log_density_peak(a)
     if np.any(bulk):
-        tail, is_q = _temme_tail(a, arr[bulk], _temme_coef(a))
-        p[bulk] = np.where(is_q, 1.0 - tail, tail)
-        q[bulk] = np.where(is_q, tail, 1.0 - tail)
-    if np.any(lower):
-        pl = _lower_series(a, arr[lower], peak)
-        p[lower] = pl
-        q[lower] = 1.0 - pl
-    if np.any(upper):
-        qu = _upper_continued_fraction(a, arr[upper], peak)
-        q[upper] = qu
-        p[upper] = 1.0 - qu
-    return p, q
+        tail[bulk], upper[bulk] = _temme_tail(a, arr[bulk], _temme_coef(a))
+    series = ~bulk & ~upper & (arr > 0.0)
+    if np.any(series):
+        tail[series] = _lower_series(a, arr[series], peak)
+    fraction = ~bulk & upper & (arr < np.inf)
+    if np.any(fraction):
+        tail[fraction] = _upper_continued_fraction(a, arr[fraction], peak)
+    return np.where(upper, 1.0 - tail, tail), np.where(upper, tail, 1.0 - tail)
 
 
 def reg_gamma_p(a, x):

@@ -1104,6 +1104,7 @@ class TestAllocationFailure:
             (["sample", "--k", "600000", "--n", "1000", "--method", "direct"], "256 x 600000"),
             (["contrast", "--k", "3,10000000", "--n", "100", "--seeds", "1"], "100 x 10000000"),
             (["sample", "--k", "3", "--n", str(2**27 + 1)], "134217729 x 1"),
+            (["sample", "--k", "524289", "--n", "256", "--method", "direct"], "256 x 524289"),
         ],
     )
     def test_array_above_the_limit_is_a_usage_error(self, capsys, argv, shape):
@@ -1116,6 +1117,18 @@ class TestAllocationFailure:
             f"usage error: a {shape} array of doubles needs {8 * rows * cols} bytes, "
             f"above the limit of {2**30} bytes\n"
         )
+
+    def test_direct_sample_takes_k_up_to_524288(self, capsys, monkeypatch, tmp_path):
+        # 256 rows by 524288 columns are exactly the limit; one column more
+        # is refused above.  The draw is stubbed, so nothing is allocated.
+        from gaussdist import montecarlo
+
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_blocked_draw",
+                            lambda n, *args: drawn.append(n) or np.ones(n))
+        argv = ["sample", "--k", "524288", "--n", "256", "--method", "direct"]
+        assert run(capsys, *argv, "--output", str(tmp_path / "s")) == (0, "", "")
+        assert drawn == [256]
 
     def test_distances_above_the_limit_are_a_data_error(self, capsys, monkeypatch, tmp_path):
         # 30 rows have 435 pairs, 8 bytes above a limit of 434 doubles.

@@ -120,15 +120,16 @@ class TestPairwiseDistances:
 
     def test_work_memory_is_the_vector_its_sorted_copy_and_one_block(self):
         # 1000 x 40: the vector and its sorted copy are 3.8 MiB each and a
-        # block two 128 x 1000 arrays; an n x n array is 7.6 MiB.
-        data = normal_dataset(1000, 40, 5)
+        # block two 128 x 1000 arrays; an n x n array is 7.6 MiB.  The
+        # README gives 7.8 MiB.
+        data = standardize(normal_dataset(1000, 40, 5))
         tracemalloc.start()
         try:
             pairwise_distances(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 8 * 2**20
 
     def test_refuses_a_distance_vector_above_the_limit(self, monkeypatch):
         # At 1 GiB, 16384 rows have 2^30 - 65536 bytes of distances and
@@ -203,6 +204,27 @@ class TestEffectiveDimension:
             half = mpmath.mpf(found) / 2
             mean_at_found = 2 * mpmath.exp(mpmath.loggamma(half + 0.5) - mpmath.loggamma(half))
         assert float(mean_at_found) == pytest.approx(mean, rel=1e-15, abs=0.0)
+
+    def test_stops_within_18_steps(self, monkeypatch):
+        # Rounding can make the fixed point alternate between two adjacent
+        # doubles, as from the mean at k = 1.0560280140070035; the first
+        # step that does not lower k must end it.
+        from gaussdist import diagnostics
+
+        calls = []
+        deficit = diagnostics._variance_deficit
+        monkeypatch.setattr(diagnostics, "_variance_deficit",
+                            lambda x: calls.append(x) or deficit(x))
+        rng = np.random.default_rng(24)
+        ks = [1.0560280140070035] + np.linspace(1.0, 40.0, 20_000).tolist()
+        ks += np.exp(rng.uniform(math.log(40.0), math.log(1e300), 5_000)).tolist()
+        worst = 0
+        for k in ks:
+            mean = raw_moment(k, 1)
+            calls.clear()
+            effective_dimension(mean)
+            worst = max(worst, len(calls))
+        assert worst <= 18
 
     def test_clamps_at_one(self):
         assert effective_dimension(0.3) == 1.0

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erfinv
 from scipy.stats import chi
 
-from gaussdist.distribution import DistanceDistribution, _quarter_square
+from gaussdist.distribution import DistanceDistribution, _gamma_variate
 from gaussdist.montecarlo import ks_one_sample, simulate_pairs
 from gaussdist.moments import moment_set, raw_moment
 
@@ -199,8 +199,8 @@ class TestQuarterSquare:
         # r^2/4 is a normal double on this range, where halving is exact.
         rng = np.random.default_rng(21)
         r = np.exp(rng.uniform(math.log(2.99e-154), math.log(1.34e154), 2_000_000))
-        assert np.array_equal(_quarter_square(r), r * r / 4.0)
-        assert all(_quarter_square(v) == v * v / 4.0 for v in r[:2000].tolist())
+        assert np.array_equal(_gamma_variate(r)[1], r * r / 4.0)
+        assert all(_gamma_variate(v)[1] == v * v / 4.0 for v in r[:2000].tolist())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_subnormal_quarter_square_cdf_against_mpmath(self, k):
