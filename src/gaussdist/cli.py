@@ -4,12 +4,15 @@ Exit codes: 0 success (and KS pass for `test`), 1 statistical failure,
 2 usage error (including a dimension k below 1 or not finite, and a
 fractional `contrast` dimension), 3 I/O or parse error (a bad k in a
 `test` sample file's header included), a computation that did not
-converge, or an allocation that failed (numpy's MemoryError).  Every
-command is deterministic given its full argument list; there are no
-hidden entropy sources and results never depend on --threads.
-`diagnose` is deterministic only for a fixed numpy/BLAS build and BLAS
-thread count: its pairwise distances take Gram blocks from BLAS, whose
-bits move with both (ROADMAP item 3).
+converge, or an allocation that failed (numpy's MemoryError).
+Arguments are checked before any file is read, so a bad one is exit 2
+whatever the file holds; exit 3 leaves stdout empty.  `test` prints the
+JSON line `diagnose` prints (`dependence_caveat` false), after it is
+written to `--output`, if given.  Every command is deterministic given
+its full argument list; there are no hidden entropy sources and results
+never depend on --threads.  `diagnose` is deterministic only for a fixed
+numpy/BLAS build and BLAS thread count: its pairwise distances take
+Gram blocks from BLAS, whose bits move with both (ROADMAP item 3).
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses
@@ -26,6 +29,7 @@ leaves the file empty.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -119,6 +123,23 @@ def _write_lines(path, lines) -> None:
         raise
     finally:
         os.close(fd)
+
+
+@contextlib.contextmanager
+def _data_errors(prefix: str):
+    """Raise a ValueError from input data as a DataError whose message starts with prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{prefix}{exc}") from exc
+
+
+def _print_report(report, path) -> None:
+    """Write the report's JSON line to path, if given, then print it."""
+    text = json.dumps(report.to_dict())
+    if path is not None:
+        _write_lines(path, [text])
+    print(text)
 
 
 def _read_text(path) -> str:
@@ -254,47 +275,17 @@ def _bad_sample_line(path, text: str) -> DataError:
 
 
 def _cmd_test(args) -> int:
+    # A bad --k is a usage error whatever the file holds.
+    law = None if args.k is None else DistanceDistribution(args.k)
     values, header = _read_sample_file(args.sample_file)
-    k = args.k
-    from_header = k is None and "k" in header
-    if from_header:
-        try:
-            k = float(header["k"])
-        except ValueError:
-            raise DataError(f"{args.sample_file}: bad k in header: {header['k']!r}") from None
-    if k is None:
-        raise ValueError("test needs --k (sample file has no k header)")
-    try:
-        sample = EmpiricalSample(values)
-    except ValueError as exc:
-        raise DataError(f"{args.sample_file}: {exc}") from exc
-    try:
-        law = DistanceDistribution(k)
-    except ValueError as exc:
-        # A k read from the file is bad data, not a bad argument.
-        if from_header:
-            raise DataError(f"{args.sample_file}: bad k in header: {exc}") from exc
-        raise
-    try:
-        report = sample_fit_report(sample, law, dependence_caveat=False)
-    except ValueError as exc:
-        raise DataError(f"{args.sample_file}: {exc}") from exc
-    payload = report.to_dict()
-    for key in (
-        "ks_statistic",
-        "ks_critical_01",
-        "ks_passed",
-        "mean_observed",
-        "mean_expected",
-        "variance_observed",
-        "variance_expected",
-        "effective_dimension",
-    ):
-        print(f"{key} = {payload[key]}")
-    text = json.dumps(payload)
-    print(text)
-    if args.output is not None:
-        _write_lines(args.output, [text])
+    if law is None:
+        if "k" not in header:
+            raise ValueError("test needs --k (sample file has no k header)")
+        with _data_errors(f"{args.sample_file}: bad k in header: "):
+            law = DistanceDistribution(float(header["k"]))
+    with _data_errors(f"{args.sample_file}: "):
+        report = sample_fit_report(EmpiricalSample(values), law, dependence_caveat=False)
+    _print_report(report, args.output)
     return 0 if report.ks_passed else 1
 
 
@@ -355,14 +346,9 @@ def _cmd_diagnose(args) -> int:
             f"got {args.delimiter!r}"
         )
     matrix = _parse_dataset(args.dataset_file, args.delimiter)
-    try:
+    with _data_errors(f"{args.dataset_file}: "):
         report = fit_report(matrix if args.no_standardize else standardize(matrix))
-    except ValueError as exc:
-        raise DataError(f"{args.dataset_file}: {exc}") from exc
-    text = json.dumps(report.to_dict())
-    if args.output is not None:
-        _write_lines(args.output, [text])
-    print(text)
+    _print_report(report, args.output)
     return 0
 
 

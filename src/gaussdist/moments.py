@@ -92,9 +92,10 @@ def moment_set(k: float) -> MomentSet:
     - 8 (k delta), delta = 1 - mu2; 8 k alone overflows past k ~ 2.2e307.
     """
     k = _validate_k(k)
-    m1 = raw_moment(k, 1)
-    raw = (m1, 2.0 * k, (2.0 * k + 2.0) * m1, 4.0 * k * (k + 2.0))
     deficit = _variance_deficit(k / 2.0)
+    # raw_moment(k, 1): its half step at x = k/2, from the one deficit.
+    m1 = 2.0 * math.sqrt(k / 2.0 - 0.25 + 0.25 * deficit)
+    raw = (m1, 2.0 * k, (2.0 * k + 2.0) * m1, 4.0 * k * (k + 2.0))
     mu2 = 1.0 - deficit
     mu3 = 2.0 * m1 * deficit
     mu4 = -3.0 * mu2 * mu2 + 8.0 * mu2 - 8.0 * (k * deficit)

@@ -446,6 +446,37 @@ class TestTest:
         assert payload == json.loads(out.splitlines()[-1])
         assert list(payload) == REPORT_KEYS
 
+    def test_stdout_is_the_report_written_to_output(self, capsys, tmp_path):
+        # One JSON line, as diagnose prints it, and nothing else.
+        sample = self.make_sample(tmp_path, 4, 2000, 5)
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "test", str(sample), "--output", str(out_path))
+        assert (code, err) == (0, "")
+        assert out == out_path.read_text()
+
+    def test_unwritable_output_leaves_stdout_empty(self, capsys, tmp_path):
+        sample = self.make_sample(tmp_path, 4, 2000, 5)
+        code, out, err = run(capsys, "test", str(sample), "--output", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["0", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"# k: 2\n1.5\n\xff\n", b"# k: 2\n1.0\nabc\n", b"# k: 2\n1.0\n2.0\n1.5\n"],
+        ids=["missing", "undecodable", "corrupt", "valid"],
+    )
+    def test_bad_dimension_argument_is_usage_error_whatever_the_file_holds(
+        self, capsys, tmp_path, k, content
+    ):
+        # --k is checked before the file is read.
+        path = tmp_path / "sample.txt"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "test", str(path), "--k", k)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: dimension k must be a finite real >= 1, got {float(k)}\n"
+
 
 class TestDiagnose:
     def write_csv(self, tmp_path, matrix, delimiter=",", header=None):
@@ -501,6 +532,13 @@ class TestDiagnose:
         code, _, err = run(capsys, "diagnose", str(path), "--delimiter", delimiter)
         assert code == 2
         assert "delimiter" in err
+
+    def test_bad_delimiter_is_usage_error_before_the_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "diagnose", str(tmp_path / "absent.csv"),
+                             "--delimiter", "ab")
+        assert (code, out) == (2, "")
+        assert err == ("usage error: --delimiter must be one character other than a "
+                       "line break, got 'ab'\n")
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", "", "2 3"])
     def test_cells_outside_the_grammar_name_row_and_column(self, capsys, tmp_path, cell):
@@ -933,6 +971,13 @@ def command_lines(draw, pools):
     return argv
 
 
+def k_values(argv):
+    """Every value argv gives --k, in either spelling."""
+    return [value if arg == "--k" else arg[len("--k="):]
+            for arg, value in zip(argv, argv[1:] + [None])
+            if arg == "--k" or arg.startswith("--k=")]
+
+
 def outcome(argv):
     """main(argv)'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -952,6 +997,9 @@ class TestAnyCommand:
         assert code in allowed, (argv, code, err)
         if code == 0:
             assert err == "", argv
+        if argv[:1] == ["test"] and any(k in BAD_NUMBERS for k in k_values(argv)):
+            # --k is checked before the sample file is read.
+            assert code == 2, (argv, code, err)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1116,6 +1164,17 @@ class TestAllocationFailure:
         assert err == (
             f"usage error: a {shape} array of doubles needs {8 * rows * cols} bytes, "
             f"above the limit of {2**30} bytes\n"
+        )
+
+    def test_contrast_takes_k_up_to_1342177(self, capsys):
+        # 100 rows by 1342177 columns are 1,073,741,600 bytes, under the
+        # limit; one column more is refused.  Nothing is allocated.
+        from gaussdist import montecarlo
+
+        montecarlo._check_array_size(100, 1342177)
+        assert run(capsys, "contrast", "--n", "100", "--k", "1342178", "--seeds", "1") == (
+            2, "", "usage error: a 100 x 1342178 array of doubles needs 1073742400 bytes, "
+            "above the limit of 1073741824 bytes\n",
         )
 
     def test_direct_sample_takes_k_up_to_524288(self, capsys, monkeypatch, tmp_path):
