@@ -301,8 +301,8 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_dataset(path, delimiter: str) -> np.ndarray:
-    text = _read_text(path)
-    lines = [line for _, line in _data_lines(text)]
+    numbered = _data_lines(_read_text(path))
+    lines = [line for _, line in numbered]
     if not lines:
         raise DataError(f"{path}: no data rows")
     header_rows = 0 if any(map(_is_number, lines[0].split(delimiter))) else 1
@@ -313,8 +313,7 @@ def _parse_dataset(path, delimiter: str) -> np.ndarray:
             lines[header_rows:], delimiter=delimiter, comments=None, ndmin=2
         )
     except ValueError as exc:
-        numbered = _data_lines(text)[header_rows:]
-        raise _bad_dataset_row(path, numbered, delimiter, exc) from None
+        raise _bad_dataset_row(path, numbered[header_rows:], delimiter, exc) from None
 
 
 def _bad_dataset_row(path, numbered, delimiter: str, exc: ValueError) -> DataError:

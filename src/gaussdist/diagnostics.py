@@ -49,6 +49,9 @@ _PAIR_BLOCK = 128
 _UPPER = np.triu(np.ones((_PAIR_BLOCK, _PAIR_BLOCK), dtype=bool), 1)
 _UPPER.flags.writeable = False
 
+# sample_fit_report's verdict: D < KS_COEFF_01 / sqrt(n), KS at alpha = 0.01.
+KS_COEFF_01 = 1.63
+
 
 def _checked_matrix(data) -> np.ndarray:
     """data as a float array, refused unless 2-D, finite, >= 2 rows and >= 1 column."""
@@ -194,7 +197,8 @@ def sample_fit_report(
     """
     if sample.n < 2:
         raise ValueError(f"fit report needs at least 2 distances, got {sample.n}")
-    ks = ks_one_sample(sample, law)
+    statistic = ks_one_sample(sample, law)
+    critical = KS_COEFF_01 / math.sqrt(sample.n)
     moments = moment_set(law.k)
     mean_obs, var_obs = _mean_and_variance(sample.values)
     # First, so a mean too large for any dimension fails before the variance.
@@ -204,9 +208,9 @@ def sample_fit_report(
     return FitReport(
         k=law.k,
         n_pairs=sample.n,
-        ks_statistic=ks.statistic,
-        ks_critical_01=ks.critical_value_01,
-        ks_passed=ks.passed,
+        ks_statistic=statistic,
+        ks_critical_01=critical,
+        ks_passed=statistic < critical,
         mean_observed=mean_obs,
         mean_expected=moments.raw[0],
         variance_observed=var_obs,

@@ -1,4 +1,4 @@
-"""Brute-force simulation oracle and the one-sample Kolmogorov-Smirnov test.
+"""Brute-force simulation oracle and the one-sample Kolmogorov-Smirnov statistic.
 
 Distances are simulated literally: draw two points with i.i.d. standard
 normal coordinates and take the Euclidean norm of their difference.
@@ -18,7 +18,6 @@ file's header.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -29,13 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EmpiricalSample",
-    "KsResult",
     "simulate_pairs",
     "ks_one_sample",
 ]
-
-# Asymptotic Kolmogorov-Smirnov critical coefficient at alpha = 0.01.
-KS_COEFF_01 = 1.63
 
 # From this sample size on, ks_one_sample brackets its maximum (see there).
 _BRACKET_MIN = 4096
@@ -68,13 +63,6 @@ class EmpiricalSample:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class KsResult:
-    statistic: float
-    critical_value_01: float
-    passed: bool
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -127,6 +115,8 @@ def _blocked_draw(
         return draw(_substream(seed, start // block), min(block, n - start))
 
     if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one, starts))
     else:
@@ -157,8 +147,10 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
     return EmpiricalSample(values)
 
 
-def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsResult:
-    """Exact sup-distance between the sample ECDF and the analytic CDF.
+def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> float:
+    """Exact sup-distance D between the sample ECDF and the analytic CDF.
+
+    diagnostics.sample_fit_report forms the 1% verdict from D.
 
     With steps = (i + 1)/n and below = steps - 1/n, the statistic is the
     largest of steps[i] - F_i and F_i - below[i].  From n = _BRACKET_MIN
@@ -195,7 +187,5 @@ def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> KsRe
         inner = inner[inner < n - 1]
         if inner.size:
             statistic = max(statistic, np.max(deviation(inner)[0]))
-    statistic = float(statistic)
-    critical = KS_COEFF_01 / math.sqrt(n)
-    return KsResult(statistic, critical, statistic < critical)
+    return float(statistic)
 

@@ -124,3 +124,31 @@ def reference_pdf(k, r, digits=60):
             (1 - k) * mpmath.log(2) - r * r / 4 + (k - 1) * mpmath.log(r)
             - mpmath.loggamma(k / 2)
         )
+
+
+def reference_tails_by_quad(k, r, digits=50):
+    """P(k/2, x), Q(k/2, x) and x g(x) at x = r^2/4, as mpmath numbers.
+
+    x is formed exactly from the double r, and g is the Gamma(k/2)
+    density.  The smaller tail is a `digits`-digit quadrature of g over
+    [a - 60 sqrt(a), x] or [x, a + 60 sqrt(a)], a = k/2, which holds all
+    but e^-1800 of it; mpmath.gammainc fails to converge from k ~ 1e8.
+    log g cancels about log10(a log a) digits, which the working
+    precision adds.
+    """
+    a = k / 2.0
+    with mpmath.workdps(digits + 5 + int(math.log10(a * math.log(a)))):
+        a, x = mpmath.mpf(a), (mpmath.mpf(r) / 2) ** 2
+        log_gamma_a = mpmath.loggamma(a)
+
+        def g(t):
+            return mpmath.exp((a - 1) * mpmath.log(t) - t - log_gamma_a)
+
+        width = 60 * mpmath.sqrt(a)
+        if x < a:
+            p = mpmath.quad(g, [a - width, x])
+            q = 1 - p
+        else:
+            q = mpmath.quad(g, [x, a + width])
+            p = 1 - q
+        return p, q, x * g(x)

@@ -40,6 +40,11 @@ class TestEval:
         assert code == 0
         assert out.splitlines() == ["0.0 0.5641895835477563"]
 
+    def test_negative_distance_in_a_list_is_usage_error(self, capsys):
+        assert run(capsys, "eval", "--k", "3", "--which", "cdf", "--at", "1,-1") == (
+            2, "", "usage error: distance must be finite and non-negative\n"
+        )
+
     def test_cdf_k2_at_zero(self, capsys):
         code, out, _ = run(capsys, "eval", "--k", "2", "--which", "cdf", "--at", "0")
         assert code == 0
@@ -323,6 +328,13 @@ class TestTest:
         code, out, err = run(capsys, "test", str(path))
         assert code in (0, 1) and err == ""
         assert math.isfinite(json.loads(out.splitlines()[-1])["effective_dimension"])
+
+    def test_no_k_header_and_no_k_argument_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1.0\n2.0\n1.5\n")
+        assert run(capsys, "test", str(path)) == (
+            2, "", "usage error: test needs --k (sample file has no k header)\n"
+        )
 
     def test_argument_dimension_the_law_refuses_stays_usage_error(self, capsys, tmp_path):
         path = tmp_path / "sample.txt"
@@ -1083,9 +1095,12 @@ def test_benchmark_hook_names_stay_public():
     layers = (specfun, distribution, moments, montecarlo, diagnostics)
     assert set(gaussdist.__all__) == {"__version__"}.union(*(m.__all__ for m in layers))
     # Names only tests ever called were deleted; numpy, scipy and
-    # moment_set give the same numbers.
+    # moment_set give the same numbers, and FitReport holds the KS verdict
+    # that KsResult restated.
     deleted = {
-        montecarlo: ("ecdf", "sample_moments", "SampleMoments", "ks_two_sample"),
+        montecarlo: (
+            "ecdf", "sample_moments", "SampleMoments", "ks_two_sample", "KsResult",
+        ),
         moments: ("central_moment", "skewness", "kurtosis"),
         diagnostics: ("DatasetMatrix", "distance_pvalue"),
     }

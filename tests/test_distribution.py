@@ -19,6 +19,7 @@ from _oracles import (
     normal_cdf,
     reference_gamma_pq,
     reference_pdf,
+    reference_tails_by_quad,
     two_samples_agree,
 )
 
@@ -170,6 +171,15 @@ class TestSurvival:
         assert law.survival(rs).tolist() == [0.0, 0.0, 0.0]
 
 
+class TestDistanceDomain:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["pdf", "cdf", "survival"])
+    def test_array_with_a_bad_distance_is_refused(self, which, bad):
+        evaluate = getattr(DistanceDistribution(3), which)
+        with pytest.raises(ValueError, match="^distance must be finite and non-negative$"):
+            evaluate(np.array([1.0, bad]))
+
+
 class TestPastTheSquareOverflow:
     # Past r ~ 2.68e154 (r/2)^2 overflows; the law there, and from
     # 1.35e154 on, is 0 density and all of its mass, with no numpy
@@ -277,6 +287,16 @@ class TestQuantile:
         expected = 2.0 * erfinv(p) if k == 1 else chi.ppf(p, k, scale=math.sqrt(2.0))
         assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("k", [400, 600, 800])
+    def test_subnormal_lower_tail_takes_the_bisection_safeguard(self, k):
+        # Newton's step leaves the bracket here, so the safeguard bisects
+        # (the branch under `if not lo < candidate < hi`).
+        law = DistanceDistribution(k)
+        ps = [5e-324, 1e-322, 1e-320]
+        qs = [law.quantile(p) for p in ps]
+        assert [law.cdf(q) for q in qs] == ps
+        assert qs[0] < qs[1] < qs[2]
+
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5, math.nan])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
@@ -328,6 +348,23 @@ class TestLargeDimension:
             assert c == pytest.approx(float(p_ref), rel=1e-12, abs=0)
             assert s == pytest.approx(float(q_ref), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "k", [1e4, 1e5, 1e6, 1e8, 1e10, 1e12, 1e15, 1e20, 1e25, 1e30]
+    )
+    def test_cdf_and_survival_within_the_rounding_of_r2_over_4(self, k):
+        # README: within max(5e-13, (x g(x)/tail) eps/2) relative, x = r^2/4
+        # and g the Gamma(k/2) density: the change of the tail under half
+        # an ulp of x, the rounding of forming it (worst measured 0.78 of
+        # the bound, at k = 1e10).  Points -6 to +6 sd of R, sd ~ 0.7071.
+        law = DistanceDistribution(k)
+        eps = np.finfo(float).eps
+        for z in (-6.0, -3.0, -1.0, -0.3, 0.3, 1.0, 3.0, 6.0):
+            r = math.sqrt(2.0 * k) + z * 0.7071
+            p_ref, q_ref, xg = reference_tails_by_quad(k, r)
+            for got, tail in ((law.cdf(r), p_ref), (law.survival(r), q_ref)):
+                bound = max(5e-13, float(xg / tail) * eps / 2.0)
+                assert float(abs(got - tail) / tail) <= bound, (z, got)
+
     @pytest.mark.parametrize("k", [1e4, 1e5, 1e6, 1e8])
     def test_quantile_inverts_the_reference_cdf(self, k):
         law = DistanceDistribution(k)
@@ -377,13 +414,18 @@ class TestSampler:
         with pytest.raises(ValueError):
             DistanceDistribution(2).sample(10, -1)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            DistanceDistribution(2).sample(10, seed)
+
 
 class TestStochasticEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 8, 64])
     def test_direct_simulation_matches_law(self, k):
         n = 10**5
         sample = simulate_pairs(k, n, 0)
-        assert ks_one_sample(sample, DistanceDistribution(k)).passed
+        assert ks_one_sample(sample, DistanceDistribution(k)) < 1.63 / math.sqrt(n)
 
     @pytest.mark.parametrize("k", [1, 2, 8, 64])
     def test_direct_simulation_matches_analytic_sampler(self, k):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from gaussdist import montecarlo
+from gaussdist.diagnostics import sample_fit_report
 from gaussdist.distribution import DistanceDistribution
 from gaussdist.montecarlo import EmpiricalSample, ks_one_sample, simulate_pairs
 from gaussdist.moments import moment_set, raw_moment
@@ -55,6 +56,11 @@ class TestSimulatePairs:
         a = simulate_pairs(2, n, 5, threads=1)
         b = simulate_pairs(2, n, 5, threads=4)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            simulate_pairs(3, 10, seed)
 
     def test_blocks_draw_from_their_own_substreams(self):
         # Block i covers values [i * block, (i + 1) * block) and draws them
@@ -118,18 +124,21 @@ class TestSimulatePairs:
 
 class TestKsOneSample:
     def test_true_law_passes(self):
-        sample = simulate_pairs(5, 10**5, 2)
-        result = ks_one_sample(sample, DistanceDistribution(5))
-        assert result.passed
-        assert 0.0 <= result.statistic <= 1.0
-        assert result.critical_value_01 == pytest.approx(1.63 / math.sqrt(10**5))
-        assert result.passed == (result.statistic < result.critical_value_01)
+        sample, law = simulate_pairs(5, 10**5, 2), DistanceDistribution(5)
+        statistic = ks_one_sample(sample, law)
+        assert type(statistic) is float
+        assert 0.0 <= statistic < 1.63 / math.sqrt(10**5)
+        # The fit report holds the one verdict, formed from this statistic.
+        report = sample_fit_report(sample, law, False)
+        assert report.ks_statistic == statistic
+        assert report.ks_critical_01 == pytest.approx(1.63 / math.sqrt(10**5))
+        assert report.ks_passed == (statistic < report.ks_critical_01)
 
     def test_gross_mismatch_fails(self):
         sample = DistanceDistribution(2).sample(10**4, 0)
-        result = ks_one_sample(sample, DistanceDistribution(20))
-        assert not result.passed
-        assert result.statistic > 0.5
+        statistic = ks_one_sample(sample, DistanceDistribution(20))
+        assert statistic >= 1.63 / math.sqrt(10**4)
+        assert statistic > 0.5
 
     @pytest.mark.parametrize("n, stated", [
         (2, "0"), (3, "0.00041"), (10, "0.0054"), (100, "0.0087"),
@@ -139,15 +148,15 @@ class TestKsOneSample:
         # README: the chance that a true null fails (D >= critical), by the
         # exact law of D, at most 0.01 at every n.
         sample = EmpiricalSample(np.arange(1.0, n + 1.0))
-        critical = ks_one_sample(sample, DistanceDistribution(3)).critical_value_01
+        critical = sample_fit_report(sample, DistanceDistribution(3), False).ks_critical_01
         size = stats.kstwo.sf(critical, n)
         assert f"{size:.2g}" == stated
         assert size <= 0.01
 
     def test_single_point_at_median(self):
         sample = EmpiricalSample([TWO_SQRT_LN2])
-        result = ks_one_sample(sample, DistanceDistribution(2))
-        assert result.statistic == pytest.approx(0.5, abs=1e-12)
+        statistic = ks_one_sample(sample, DistanceDistribution(2))
+        assert statistic == pytest.approx(0.5, abs=1e-12)
 
     @staticmethod
     def all_values_statistic(sample, law):
@@ -174,7 +183,7 @@ class TestKsOneSample:
                 values = np.round(values, 1)
             sample = EmpiricalSample(values)
             expected = self.all_values_statistic(sample, law)
-            assert ks_one_sample(sample, law).statistic == expected, (k, n)
+            assert ks_one_sample(sample, law) == expected, (k, n)
 
     def test_pairwise_sample_matches_all_values_statistic(self):
         from gaussdist.diagnostics import pairwise_distances, standardize
@@ -183,7 +192,7 @@ class TestKsOneSample:
         sample = pairwise_distances(standardize(data))
         assert sample.n > 4096
         law = DistanceDistribution(8)
-        assert ks_one_sample(sample, law).statistic == self.all_values_statistic(sample, law)
+        assert ks_one_sample(sample, law) == self.all_values_statistic(sample, law)
 
     @pytest.mark.parametrize(
         "runs,top,maximum",
@@ -212,7 +221,7 @@ class TestKsOneSample:
         if top is not None:
             values[-1] = top
         sample, law = EmpiricalSample(values), DistanceDistribution(2)
-        statistic = ks_one_sample(sample, law).statistic
+        statistic = ks_one_sample(sample, law)
         assert statistic == self.all_values_statistic(sample, law)
         assert statistic == pytest.approx(maximum / n, rel=1e-9)
 
@@ -220,7 +229,7 @@ class TestKsOneSample:
     def test_both_sides_of_the_bracketing_threshold(self, n):
         law = DistanceDistribution(7)
         sample = law.sample(n, 3)
-        assert ks_one_sample(sample, law).statistic == self.all_values_statistic(sample, law)
+        assert ks_one_sample(sample, law) == self.all_values_statistic(sample, law)
 
     class CountingLaw:
         def __init__(self, law):
@@ -251,7 +260,7 @@ class TestKsOneSample:
         n = 10**5
         law = DistanceDistribution(k)
         passes = sum(
-            ks_one_sample(simulate_pairs(k, n, seed), law).passed
+            ks_one_sample(simulate_pairs(k, n, seed), law) < 1.63 / math.sqrt(n)
             for seed in range(5)
         )
         assert passes >= 4
