@@ -11,15 +11,15 @@ JSON line `diagnose` prints (`dependence_caveat` false), after it is
 written to `--output`, if given.  Every command is deterministic given
 its full argument list; there are no hidden entropy sources and results
 never depend on --threads.  `diagnose` is deterministic only for a fixed
-numpy/BLAS build and BLAS thread count: its pairwise distances take
-Gram blocks from BLAS, whose bits move with both (ROADMAP item 3).
+numpy/BLAS build and BLAS thread count: its Gram blocks come from BLAS
+(ROADMAP: "`diagnose` bits that do not depend on BLAS").
 
 `main(argv)` returns the exit code and may be called again and again in
 one process.  It builds its argument parser on the first call and reuses
-it; nothing is carried from one call to the next.  When the first
-argument names a command, the rest go straight to that command's own
-parser, the one the top-level parser would hand them to; every message
-and exit code is the same as through the top-level parser.
+it; no output depends on an earlier call.  When the first argument names
+a command, the rest go straight to that command's own parser, the one
+the top-level parser would hand them to; every message and exit code is
+the same as through the top-level parser.
 
 `--output` overwrites an existing file in place and cuts it to the new
 length; this is not an atomic replace, and a write that fails part-way

@@ -52,6 +52,8 @@ _UPPER.flags.writeable = False
 # sample_fit_report's verdict: D < KS_COEFF_01 / sqrt(n), KS at alpha = 0.01.
 KS_COEFF_01 = 1.63
 
+_K1_MEAN = raw_moment(1.0, 1)
+
 
 def _checked_matrix(data) -> np.ndarray:
     """data as a float array, refused unless 2-D, finite, >= 2 rows and >= 1 column."""
@@ -69,18 +71,26 @@ def _checked_matrix(data) -> np.ndarray:
 def standardize(data) -> np.ndarray:
     """A new matrix whose columns have zero mean and unit sample sd (divisor n-1)."""
     data = _checked_matrix(data)
-    means = data.mean(axis=0)
-    sds = data.std(axis=0, ddof=1)
-    # A column of identical values has zero range exactly, even when
-    # mean subtraction leaves rounding residue in the sd.
-    spread = data.max(axis=0) - data.min(axis=0)
-    constant = np.flatnonzero((spread == 0.0) | (sds == 0.0))
+    # A column of identical values has zero range exactly, even when mean
+    # subtraction would leave rounding residue in the sd.
+    top, bottom = data.max(axis=0), data.min(axis=0)
+    constant = np.flatnonzero(top == bottom)
     if constant.size:
         raise ValueError(
             f"column {int(constant[0])} is constant; standardization is undefined "
             "for zero-variance features"
         )
-    return (data - means) / sds
+    # Each column is scaled by a power of two to a largest magnitude in
+    # [1/2, 1), so its squared deviations neither overflow nor underflow at
+    # any magnitude, and its sd is positive.  The scaling is exact for every
+    # entry it leaves at or above 2^-1022; one pushed below loses only bits
+    # under 2^-1074 of the column's largest magnitude.
+    out = np.ldexp(data, -np.frexp(np.maximum(top, -bottom))[1])
+    means = out.mean(axis=0)
+    sds = out.std(axis=0, ddof=1)
+    out -= means
+    out /= sds
+    return out
 
 
 def pairwise_distances(data) -> EmpiricalSample:
@@ -127,7 +137,7 @@ def effective_dimension(mean_distance: float) -> float:
     """
     if not (math.isfinite(mean_distance) and mean_distance >= 0.0):
         raise ValueError("mean distance must be finite and non-negative")
-    if mean_distance <= raw_moment(1.0, 1):
+    if mean_distance <= _K1_MEAN:
         return 1.0
     half = 0.5 * mean_distance
     half_top = 2.0 * (half * half) + 0.5

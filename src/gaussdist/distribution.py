@@ -18,13 +18,7 @@ import numpy as np
 
 from .moments import _validate_k
 from .montecarlo import EmpiricalSample, _blocked_draw, _check_seed
-from .specfun import (
-    ConvergenceError,
-    _log_density_peak,
-    _log_gamma_density,
-    reg_gamma_p,
-    reg_gamma_q,
-)
+from .specfun import ConvergenceError, _log_gamma_density, reg_gamma_p, reg_gamma_q
 
 __all__ = ["DistanceDistribution"]
 
@@ -87,14 +81,13 @@ class DistanceDistribution:
             out = np.exp(-x) / _SQRT_PI
             return float(out) if isinstance(r, float) else out
         a = 0.5 * self.k
-        peak = _log_density_peak(a)
 
         def density(r, x):
             # pdf(r) = (2/r) g(r^2/4) for the Gamma(k/2) density g.  Its
             # log x comes from log r, so an r^2/4 that underflows keeps
             # its density.
             log_half_r = np.log(r) - _LN_2
-            return np.exp(_log_gamma_density(a, x, 2.0 * log_half_r, peak) - log_half_r)
+            return np.exp(_log_gamma_density(a, x, 2.0 * log_half_r) - log_half_r)
 
         # Where x overflows, the density has long underflowed to 0.
         if isinstance(r, float):

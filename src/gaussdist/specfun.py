@@ -36,11 +36,13 @@ the Stirling coefficient g_k fixed by cancelling the 1/eta term.
 
 The gamma density x^a e^-x / Gamma(a), which scales the series, the
 continued fraction and the law's pdf, is formed here too
-(``_log_gamma_density``).
+(``_log_gamma_density``).  The per-shape constants, its peak and the
+folded Temme coefficients, are memoized (``functools.lru_cache``, capped at 128).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -182,6 +184,7 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_DENSITY_FLOOR = -2000.0
 
 
+@functools.lru_cache(maxsize=128)
 def _log_density_peak(a: float) -> float:
     """log(x^a e^-x / Gamma(a)) at x = a.
 
@@ -197,11 +200,10 @@ def _log_density_peak(a: float) -> float:
     return 0.5 * math.log(a) - _LN_SQRT_2PI - series / a
 
 
-def _log_gamma_density(a: float, x, log_x, peak: float):
+def _log_gamma_density(a: float, x, log_x):
     """log(x^a e^-x / Gamma(a)) for x > 0, given log_x = log(x).
 
-    x and log_x are both floats or both arrays; peak is
-    ``_log_density_peak(a)``.  The Stirling-scaled form of DiDonato &
+    x and log_x are both floats or both arrays.  The Stirling-scaled form of DiDonato &
     Morris (1986), -a (sigma - log1p(sigma)) + log(a / 2 pi)/2
     - log Gamma*(a) with sigma = (x - a)/a, cancels the a log(x) and x
     terms exactly, so the error is that of sigma itself, about sqrt(a)
@@ -220,10 +222,10 @@ def _log_gamma_density(a: float, x, log_x, peak: float):
     else:
         below_half = np.maximum(log_x - math.log(0.5 * a), floor)
         log_ratio = np.log1p(np.maximum(sigma, -0.5)) + np.minimum(below_half, 0.0)
-    return (log_ratio - sigma) * a + peak
+    return (log_ratio - sigma) * a + _log_density_peak(a)
 
 
-def _lower_series(a: float, x, peak: float):
+def _lower_series(a: float, x):
     """P(a, x) by the power series; requires 0 < x < a + 1 elementwise.
 
     x is a float or an array, evaluated elementwise; each array lane
@@ -254,11 +256,11 @@ def _lower_series(a: float, x, peak: float):
             f"incomplete gamma series did not converge for a={a} "
             f"within {_MAX_ITERATIONS} iterations"
         )
-    density = np.exp(_log_gamma_density(a, x, np.log(x), peak))
+    density = np.exp(_log_gamma_density(a, x, np.log(x)))
     return total * (float(density) if scalar else density) / a
 
 
-def _upper_continued_fraction(a: float, x, peak: float):
+def _upper_continued_fraction(a: float, x):
     """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
 
     x is a float or an array, evaluated elementwise as in
@@ -296,7 +298,7 @@ def _upper_continued_fraction(a: float, x, peak: float):
             f"incomplete gamma continued fraction did not converge for a={a} "
             f"within {_MAX_ITERATIONS} iterations"
         )
-    density = np.exp(_log_gamma_density(a, x, np.log(x), peak))
+    density = np.exp(_log_gamma_density(a, x, np.log(x)))
     return h * (float(density) if scalar else density)
 
 
@@ -332,17 +334,17 @@ def _in_temme_window(a: float, x):
     return (a >= _TEMME_MIN_A) & (abs(x - a) < _TEMME_WINDOW * a)
 
 
-def _temme_coef(a: float) -> list[float]:
+@functools.lru_cache(maxsize=128)
+def _temme_coef(a: float) -> tuple[float, ...]:
     """b_n = sum_k d[k][n] a^-k, which folds Temme's double sum into one polynomial."""
-    return (np.power(a, -np.arange(_TEMME_COEF.shape[0], dtype=float)) @ _TEMME_COEF).tolist()
+    return tuple((np.power(a, -np.arange(len(_TEMME_COEF), dtype=float)) @ _TEMME_COEF).tolist())
 
 
-def _temme_tail(a: float, x, coef: list[float]):
+def _temme_tail(a: float, x):
     """Q(a, x) where x >= a and P(a, x) where x < a, and whether x >= a.
 
-    x is a float or an array, evaluated elementwise; coef is
-    ``_temme_coef(a)``.  Temme's expansion Q = erfc(eta sqrt(a/2))/2 + R
-    and P = erfc(-eta sqrt(a/2))/2 - R, with
+    x is a float or an array, evaluated elementwise.  Temme's expansion
+    Q = erfc(eta sqrt(a/2))/2 + R and P = erfc(-eta sqrt(a/2))/2 - R, with
     R = exp(-a eta^2/2) / sqrt(2 pi a) * sum_k c_k(eta) a^-k,
     eta^2/2 = sigma - log1p(sigma), sigma = (x - a)/a and eta of the
     sign of sigma.  math and numpy round sqrt and copysign alike, and
@@ -357,7 +359,7 @@ def _temme_tail(a: float, x, coef: list[float]):
     eta = copysign(sqrt(2.0 * half_eta_sq), sigma)
     # +R in the Q tail (x >= a), -R in the P tail.
     signed_r = copysign(np.exp(-a * half_eta_sq), sigma)
-    signed_r *= _horner(coef, eta)
+    signed_r *= _horner(_temme_coef(a), eta)
     signed_r /= math.sqrt(2.0 * math.pi * a)
     if scalar:
         return math.erfc(abs(eta) * math.sqrt(0.5 * a)) * 0.5 + signed_r, upper
@@ -375,25 +377,20 @@ def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[floa
 
     Each point goes to the regime function its array lane would, with
     a float for x, and its ``(tail, upper)`` pair is completed by the
-    same step, so the results are the same bits.  What depends on a
-    alone is formed once per call.
+    same step, so the results are the same bits.
     """
     if not all(x >= 0.0 for x in xs):
         raise ValueError("incomplete gamma requires x >= 0")
-    peak = _log_density_peak(a)
-    coef = None
     ps, qs = [], []
     for x in xs:
         if x == 0.0 or x == math.inf:
             tail, upper = 0.0, x == math.inf
         elif _in_temme_window(a, x):
-            if coef is None:
-                coef = _temme_coef(a)
-            tail, upper = _temme_tail(a, x, coef)
+            tail, upper = _temme_tail(a, x)
         elif x < a + 1.0:
-            tail, upper = _lower_series(a, x, peak), False
+            tail, upper = _lower_series(a, x), False
         else:
-            tail, upper = _upper_continued_fraction(a, x, peak), True
+            tail, upper = _upper_continued_fraction(a, x), True
         ps.append(1.0 - tail if upper else tail)
         qs.append(tail if upper else 1.0 - tail)
     return ps, qs
@@ -418,15 +415,14 @@ def _reg_gamma_both(a: float, x):
     tail = np.zeros_like(arr)
     upper = arr >= a + 1.0
     bulk = _in_temme_window(a, arr)
-    peak = _log_density_peak(a)
     if np.any(bulk):
-        tail[bulk], upper[bulk] = _temme_tail(a, arr[bulk], _temme_coef(a))
+        tail[bulk], upper[bulk] = _temme_tail(a, arr[bulk])
     series = ~bulk & ~upper & (arr > 0.0)
     if np.any(series):
-        tail[series] = _lower_series(a, arr[series], peak)
+        tail[series] = _lower_series(a, arr[series])
     fraction = ~bulk & upper & (arr < np.inf)
     if np.any(fraction):
-        tail[fraction] = _upper_continued_fraction(a, arr[fraction], peak)
+        tail[fraction] = _upper_continued_fraction(a, arr[fraction])
     return np.where(upper, 1.0 - tail, tail), np.where(upper, tail, 1.0 - tail)
 
 

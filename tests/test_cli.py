@@ -586,6 +586,14 @@ class TestDiagnose:
         assert payload["n_pairs"] == 190
         assert payload["ks_passed"] is True
 
+    def test_data_at_two_to_the_600_gives_the_report_of_the_data(self, capsys, tmp_path):
+        # Its squared deviations overflow; standardizing rescales them exactly.
+        matrix = np.random.default_rng(6).standard_normal((12, 3))
+        code, out, err = run(capsys, "diagnose", str(self.write_csv(tmp_path, matrix)))
+        assert (code, err) == (0, "")
+        scaled = self.write_csv(tmp_path, np.ldexp(matrix, 600))
+        assert run(capsys, "diagnose", str(scaled)) == (0, out, "")
+
     def test_json_round_trips_to_report(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((50, 6))

@@ -78,6 +78,51 @@ class TestStandardize:
         standardize(d)
         assert np.array_equal(d, raw)
 
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_a_power_of_two_scale_keeps_the_bits(self, e):
+        # At 2^600 and up the squared deviations overflow, at 2^-600 and
+        # below they underflow; neither may reach the result.
+        data = normal_dataset(50, 6, 7)
+        assert standardize(np.ldexp(data, e)).tobytes() == standardize(data).tobytes()
+
+    def test_each_column_keeps_its_bits_whatever_the_others_scale(self):
+        data = normal_dataset(40, 4, 8)
+        scaled = np.ldexp(data, [0, 700, -900, 0])
+        assert standardize(scaled).tobytes() == standardize(data).tobytes()
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300, 1.7e308])
+    def test_constant_column_at_any_magnitude_is_refused(self, value):
+        data = normal_dataset(10, 3, 9)
+        data[:, 1] = value
+        with pytest.raises(ValueError, match="column 1 is constant"):
+            standardize(data)
+
+    def test_overflowing_sd_gives_a_standardized_column(self):
+        # 1e160 is no power of two, so only the moments are checked.
+        out = standardize(normal_dataset(12, 3, 0) * 1e160)
+        assert np.all(np.abs(out.mean(axis=0)) < 1e-12)
+        assert np.all(np.abs(out.std(axis=0, ddof=1) - 1.0) < 1e-12)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [2.0**1000, 1.0, 2.0, 3.0],
+            [2.0**1020, -(2.0**1020), 3.0, 1e-7, 2e-7, 5e-300],
+            [1e308, 1e-300, 5e-324, -1e308, 7.0],
+            [2.0**-1000, 2.0**-1070, 5e-324, 0.0],
+        ],
+    )
+    def test_entries_the_scaling_makes_subnormal_stay_within_an_ulp(self, column):
+        # The power-of-two scale of a column spanning 2^1000 or more pushes
+        # its small entries below 2^-1022, where they lose bits.
+        with mpmath.workdps(60):
+            exact = [mpmath.mpf(v) for v in column]
+            mean = mpmath.fsum(exact) / len(exact)
+            sd = mpmath.sqrt(mpmath.fsum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
+            reference = np.array([float((v - mean) / sd) for v in exact])
+        out = standardize(np.array(column)[:, None])[:, 0]
+        assert np.all(np.abs(out - reference) <= np.spacing(np.abs(reference)))
+
 
 class TestPairwiseDistances:
     def test_two_points_one_dimension(self):

@@ -267,10 +267,9 @@ class TestPointwisePath:
             xs += (a * 10.0 ** rng.uniform(-12.0, 1.0, 200)).tolist()
             cases = [(x, float(np.log(x))) for x in xs]
             cases += [(0.0, log_x) for log_x in (-800.0, -5000.0, -1e5)]
-            peak = specfun._log_density_peak(a)
             for x, log_x in cases:
-                point = specfun._log_gamma_density(a, x, log_x, peak)
-                lane = specfun._log_gamma_density(a, np.array([x]), np.array([log_x]), peak)
+                point = specfun._log_gamma_density(a, x, log_x)
+                lane = specfun._log_gamma_density(a, np.array([x]), np.array([log_x]))
                 assert type(point) is float
                 assert point.hex() == float(lane[0]).hex(), (a, x, log_x)
 
@@ -283,6 +282,49 @@ class TestPointwisePath:
         for x in (0.0, 2.0, 25.0, 80.0, math.inf, np.float64(2.0), np.array(2.0), 3):
             assert type(reg_gamma_p(30.0, x)) is float
             assert type(reg_gamma_q(30.0, x)) is float
+
+
+class TestShapeCache:
+    """The constants that depend on a alone are memoized per shape."""
+
+    SHAPES = (0.5, 9.99, 10.0, 20.0, 1e3, 1e7)
+    CACHED = (specfun._log_density_peak, specfun._temme_coef)
+
+    @staticmethod
+    def evaluate(shapes):
+        """The bits of P and Q on both paths, pdf, cdf and quantile, per shape."""
+        out = {}
+        for a in shapes:
+            law = DistanceDistribution(2.0 * a)
+            xs = a * np.array([0.05, 0.5, 0.9, 1.0, 1.2, 2.0, 4.0])
+            lanes = np.repeat(xs, 3)
+            rs = 2.0 * np.sqrt(xs)
+            values = [
+                *reg_gamma_p(a, xs), *reg_gamma_q(a, xs),
+                *reg_gamma_p(a, lanes), *reg_gamma_q(a, lanes),
+                *law.pdf(rs), *law.cdf(rs), law.quantile(0.3), law.quantile(0.999),
+            ]
+            out[a] = [float(v).hex() for v in values]
+        return out
+
+    def test_cold_and_warm_caches_give_the_same_bits(self):
+        for cached in self.CACHED:
+            cached.cache_clear()
+        first = self.evaluate(self.SHAPES)
+        assert self.evaluate(self.SHAPES) == first
+        for cached in self.CACHED:
+            cached.cache_clear()
+        assert self.evaluate(self.SHAPES[::-1]) == first
+
+    def test_caches_hold_at_most_128_shapes(self):
+        for a in np.linspace(20.0, 1020.0, 1000).tolist():
+            reg_gamma_p(a, [0.5 * a, a])  # the series, then Temme
+        for cached in self.CACHED:
+            info = cached.cache_info()
+            assert info.maxsize == 128 and info.currsize == 128
+
+    def test_temme_coefficients_are_immutable(self):
+        assert type(specfun._temme_coef(30.0)) is tuple
 
 
 def gamma_shift_ratio(x, shift):
