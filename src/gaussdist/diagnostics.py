@@ -13,7 +13,6 @@ pretending the KS test is exact.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -96,15 +95,18 @@ def standardize(data) -> np.ndarray:
 def pairwise_distances(data) -> EmpiricalSample:
     """All rows*(rows-1)/2 Euclidean distances between rows, sorted.
 
-    Squared distances are (sq_i + sq_j) - 2 g_ij, from the Gram matrix of
-    _PAIR_BLOCK rows at a time against themselves and every later row, so
-    no rows x rows array is formed.  A vector of all the distances above
-    _MAX_ARRAY_BYTES is refused before it is allocated.
+    Any finite data is scaled by a power of two to a largest magnitude in
+    [1/2, 1) before squaring, so only a distance past the double range is
+    refused.  Squared distances (sq_i + sq_j) - 2 g_ij come from the Gram
+    matrix of _PAIR_BLOCK rows at a time against themselves and later rows,
+    never rows x rows; distances above _MAX_ARRAY_BYTES are refused first.
     """
     x = _checked_matrix(data)
     rows = len(x)
     count = rows * (rows - 1) // 2
     _check_nbytes(8 * count, f"the {count} distances between {rows} rows need")
+    exp = np.frexp(max(x.max(), -x.min()))[1]
+    x = np.ldexp(x, -exp)
     sq = np.sum(x**2, axis=1)
     block = min(rows, _PAIR_BLOCK)
     values = np.empty(count)
@@ -120,8 +122,11 @@ def pairwise_distances(data) -> EmpiricalSample:
         for part in (d2[:, :m][_UPPER[:m, :m]], d2[:, m:]):
             start, end = end, end + part.size
             values[start:end].reshape(part.shape)[...] = part
+    del x  # the scaled copy, freed before the sorted copy is made
     np.maximum(values, 0.0, out=values)
     np.sqrt(values, out=values)
+    with np.errstate(over="ignore"):
+        np.ldexp(values, exp, out=values)
     return EmpiricalSample(values)
 
 
@@ -176,24 +181,18 @@ class FitReport:
 
 
 def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
-    """np.mean(values) and np.var(values, ddof=1) of non-negative values.
+    """np.mean(values) and np.var(values, ddof=1) of sorted non-negative values.
 
-    Past about 1.3e154 the squared deviations overflow, and past about
-    1.8e308 the sum, while the variance and the mean may still be
-    finite.  A result that overflows is formed again from the values
-    scaled by a power of two, which is exact, and scaled back.  A
-    variance beyond the double range stays inf.
+    Scaled by a power of two to a largest in [1/2, 1) and back, so no square
+    or sum overflows; a variance past the double range is inf.
     """
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(values))
-        var = float(np.var(values, ddof=1))
-    if math.isinf(var):
-        exp = math.frexp(float(np.max(values)))[1]
-        scaled = np.ldexp(values, -exp)
-        if math.isinf(mean):
-            mean = math.ldexp(float(np.mean(scaled)), exp)
-        with contextlib.suppress(OverflowError):
-            var = math.ldexp(float(np.var(scaled, ddof=1)), 2 * exp)
+    exp = math.frexp(float(values[-1]))[1]
+    scaled = np.ldexp(values, -exp)
+    mean = math.ldexp(float(np.mean(scaled)), exp)
+    try:
+        var = math.ldexp(float(np.var(scaled, ddof=1)), 2 * exp)
+    except OverflowError:
+        var = math.inf
     return mean, var
 
 
@@ -233,8 +232,9 @@ def sample_fit_report(
 def fit_report(data) -> FitReport:
     """Compare a dataset's pairwise distances to the independent-feature null.
 
-    The data is taken as it is: standardize() it first unless its
-    columns already have zero mean and unit sd.
+    The data is taken as it is, at any finite magnitude: standardize() it
+    first unless its columns already have zero mean and unit sd.  A mean
+    distance above about 1.9e154, which no finite k has, is a ValueError.
     """
     data = _checked_matrix(data)
     rows, cols = data.shape

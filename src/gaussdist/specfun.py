@@ -366,7 +366,7 @@ def _temme_tail(a: float, x):
     # numpy has no erfc; math.erfc per element keeps the runtime numpy-only.
     y = np.abs(eta, out=eta)
     y *= math.sqrt(0.5 * a)
-    tail = np.fromiter(map(math.erfc, y), float, y.size)
+    tail = np.fromiter(map(math.erfc, y.tolist()), float, y.size)
     tail *= 0.5
     tail += signed_r
     return tail, upper

@@ -586,6 +586,41 @@ class TestDiagnose:
         assert payload["n_pairs"] == 190
         assert payload["ks_passed"] is True
 
+    def run_recording_warnings(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        return code, out, err, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("rows,scale,code,mean", [
+        (40, 4e153, 0, 8.55288176476211e+153),
+        (12, 1e160, 3, 1.7775988759514278e+160),
+        (12, 1e-170, 0, 1.7775988759514276e-170),
+    ])
+    def test_unstandardized_data_at_any_magnitude(self, capsys, tmp_path, rows, scale, code,
+                                                  mean):
+        # Scaled by a power of two before squaring, no square overflows or
+        # underflows; a mean above about 1.9e154 has no effective dimension.
+        matrix = np.random.default_rng(0).standard_normal((rows, 3)) * scale
+        path = self.write_csv(tmp_path, matrix)
+        got = self.run_recording_warnings(capsys, "diagnose", str(path), "--no-standardize")
+        if code == 0:
+            assert got[0] == 0 and got[2:] == ("", [])
+            assert json.loads(got[1])["mean_observed"] == mean
+        else:
+            assert got == (3, "", f"error: {path}: mean distance {mean!r} is too large: no "
+                           "finite k has that mean\n", [])
+
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
+    def test_no_magnitude_leaks_a_warning(self, capsys, tmp_path, flags):
+        matrix = np.random.default_rng(1).standard_normal((15, 4))
+        for e in range(-300, 301, 20):
+            path = self.write_csv(tmp_path, matrix * 10.0**e)
+            code, _, err, caught = self.run_recording_warnings(
+                capsys, "diagnose", str(path), *flags)
+            assert code in (0, 3) and caught == [], (e, caught)
+            assert "Warning" not in err and "Traceback" not in err, e
+
     def test_data_at_two_to_the_600_gives_the_report_of_the_data(self, capsys, tmp_path):
         # Its squared deviations overflow; standardizing rescales them exactly.
         matrix = np.random.default_rng(6).standard_normal((12, 3))

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from gaussdist.diagnostics import (
+    _mean_and_variance,
     effective_dimension,
     fit_report,
     pairwise_distances,
@@ -162,6 +164,18 @@ class TestPairwiseDistances:
         data = normal_dataset(rows, 800, rows)
         want = np.sort(pdist(data))
         assert pairwise_distances(data).values == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 900])
+    def test_a_power_of_two_scale_keeps_the_bits(self, e):
+        # At 2^600 and up the squares overflow, at 2^-600 and below they
+        # underflow; the distances scale with the data all the same.
+        data = normal_dataset(50, 6, 7)
+        want = np.ldexp(pairwise_distances(data).values, e)
+        assert pairwise_distances(np.ldexp(data, e)).values.tobytes() == want.tobytes()
+
+    def test_a_distance_past_the_double_range_is_refused(self):
+        with pytest.raises(ValueError, match="distances must be finite and non-negative"):
+            pairwise_distances(np.array([[-1.7e308], [1.7e308]]))
 
     def test_work_memory_is_the_vector_its_sorted_copy_and_one_block(self):
         # 1000 x 40: the vector and its sorted copy are 3.8 MiB each and a
@@ -377,6 +391,30 @@ class TestFitReport:
         report = sample_fit_report(sample, DistanceDistribution(3.0), dependence_caveat=False)
         assert report.mean_observed == float(np.mean(sample.values))
         assert report.variance_observed == float(np.var(sample.values, ddof=1))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mean_and_variance_keep_the_bits_of_the_unscaled_formula(self, seed):
+        # The reference: numpy's mean and variance of the raw values, formed
+        # again from the values scaled by a power of two where the variance
+        # overflows.  Scales 1e153-1.9e154 take that second path.
+        def unscaled_first(values):
+            with np.errstate(over="ignore"):
+                mean = float(np.mean(values))
+                var = float(np.var(values, ddof=1))
+            if math.isinf(var):
+                exp = math.frexp(float(np.max(values)))[1]
+                scaled = np.ldexp(values, -exp)
+                if math.isinf(mean):
+                    mean = math.ldexp(float(np.mean(scaled)), exp)
+                with contextlib.suppress(OverflowError):
+                    var = math.ldexp(float(np.var(scaled, ddof=1)), 2 * exp)
+            return mean, var
+
+        rng = np.random.default_rng(seed)
+        for scale in (10.0 ** rng.uniform(-100, 150), rng.uniform(1e153, 1.9e154)):
+            values = EmpiricalSample(scale * rng.uniform(0.0, 3.0, rng.integers(2, 2000))).values
+            got, want = _mean_and_variance(values), unscaled_first(values)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_json_round_trip(self):
         # to_dict holds only strict-JSON values (no NaN or inf), so the

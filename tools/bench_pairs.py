@@ -21,10 +21,13 @@ the metrics, so their `n` falls below 10), and per metric:
 each side's quartiles (linear interpolation, as numpy's default
 percentile), the pairs the change won (ties count for neither side), the
 change of the median and the parent's interquartile range, both relative
-to the parent's median, and, for a metric with a bound in BENCHMARK.json,
-a verdict: "within bound", "worse than bound", or "unresolved" when the
-parent's own spread is wider than the bound and the runs do not all order
-one way.  Standard library only.
+to the parent's median, `gain`: true when the change won at least nine
+tenths of the pairs run (ties count for neither side) and its median is
+better than the parent's by more than the parent's interquartile range,
+the rule a claimed gain must meet; and, for a metric with a bound in
+BENCHMARK.json, a verdict: "within bound", "worse than bound", or
+"unresolved" when the parent's own spread is wider than the bound and the
+runs do not all order one way.  Standard library only.
 """
 
 from __future__ import annotations
@@ -105,12 +108,15 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], workload: str, specs: dict) -> dict:
     """Per side, its failed runs; per metric: quartiles per side, pairs won,
-    median change, verdict.  A pair that holds a failed run is left out."""
+    median change, gain, verdict.  A pair that holds a failed run is left
+    out of the metrics but counts among the pairs run."""
     by_pair: dict = {}
+    pairs_run = set()
     summary = {"failed_runs": dict.fromkeys(SIDES, 0)}
     for run in runs:
         if run["workload"] != workload:
             continue
+        pairs_run.add(run["pair"])
         if "metrics" in run["output"]:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run["output"]["metrics"]
         else:
@@ -132,6 +138,8 @@ def summarize(runs: list[dict], workload: str, specs: dict) -> dict:
             "median_change_frac": (stats["change"]["median"] - base) / base if base else 0.0,
             "parent_iqr_frac": (stats["parent"]["q3"] - stats["parent"]["q1"]) / base
             if base else 0.0,
+            "gain": 10 * wins >= 9 * len(pairs_run) and sign * (
+                base - stats["change"]["median"]) > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
         if "bound" in spec:
             worse_frac = sign * entry["median_change_frac"]
