@@ -11,7 +11,8 @@ JSON line `diagnose` prints (`dependence_caveat` false), after it is
 written to `--output`, if given.  Every command is deterministic given
 its full argument list; there are no hidden entropy sources and results
 never depend on --threads.  `diagnose` is deterministic only for a fixed
-numpy/BLAS build and BLAS thread count: its Gram blocks come from BLAS
+numpy/BLAS build and BLAS thread count: its Gram blocks are the library's
+only BLAS call, as Temme's coefficients are folded by Horner's rule
 (ROADMAP: "`diagnose` bits that do not depend on BLAS").
 
 `main(argv)` returns the exit code and may be called again and again in
@@ -144,7 +145,7 @@ def _print_report(report, path) -> None:
 
 def _read_text(path) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as stream:
+        with open(path, "r", encoding="utf-8-sig") as stream:
             return stream.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -18,7 +18,7 @@ other tail as 1 - tail, so P + Q == 1 holds to machine precision by
 construction.
 
 A scalar x, or an array of at most ``_POINTWISE_MAX`` (16) points, is
-evaluated one Python float at a time (``_reg_gamma_points``), where
+evaluated one Python float at a time (``_reg_gamma_point``), where
 numpy's per-call cost dominates (measured at ``_POINTWISE_MAX``); longer
 arrays run in vectorized lanes.  Both paths pick the regime by one rule
 (``_in_temme_window``, then x < a + 1), and each regime has one body
@@ -33,6 +33,8 @@ c_0 = 1/(lambda - 1) - 1/eta; the recurrence
 c_k = c_{k-1}'(eta)/eta + (-1)^k g_k/(lambda - 1) gives the rest, with
 the Stirling coefficient g_k fixed by cancelling the 1/eta term.
 ``tests/test_specfun.py`` regenerates the table and checks every entry.
+Every polynomial, whose coefficients may be array rows, goes through one
+Horner's rule (``_horner``), so no sum here depends on BLAS.
 
 The gamma density x^a e^-x / Gamma(a), which scales the series, the
 continued fraction and the law's pdf, is formed here too
@@ -59,7 +61,7 @@ _REL_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 300
 
 # Inputs of at most this many points are evaluated one Python float at a
-# time (``_reg_gamma_points``), larger arrays by the vectorized lanes; both
+# time (``_reg_gamma_point``), larger arrays by the vectorized lanes; both
 # give the same bits.  On law draws at 16 points the lanes take 1.6-8x as
 # long as the points; the two cost the same somewhere between about 20 and
 # 128 points, depending on a.
@@ -193,11 +195,7 @@ def _log_density_peak(a: float) -> float:
     """
     if a < _STIRLING_MIN_A:
         return a * math.log(a) - a - math.lgamma(a)
-    inv_sq = 1.0 / (a * a)
-    series = 0.0
-    for c in reversed(_STIRLING_COEF):
-        series = series * inv_sq + c
-    return 0.5 * math.log(a) - _LN_SQRT_2PI - series / a
+    return 0.5 * math.log(a) - _LN_SQRT_2PI - _horner(_STIRLING_COEF, 1.0 / (a * a)) / a
 
 
 def _log_gamma_density(a: float, x, log_x):
@@ -303,7 +301,7 @@ def _upper_continued_fraction(a: float, x):
 
 
 def _horner(coef, t):
-    """sum_n coef[n] t^n, for a float t or elementwise over an array t."""
+    """sum_n coef[n] t^n, for a float t or elementwise over an array t; coef[n] may be a row."""
     if isinstance(t, float):
         out = coef[-1]
         for c in coef[-2::-1]:
@@ -337,7 +335,7 @@ def _in_temme_window(a: float, x):
 @functools.lru_cache(maxsize=128)
 def _temme_coef(a: float) -> tuple[float, ...]:
     """b_n = sum_k d[k][n] a^-k, which folds Temme's double sum into one polynomial."""
-    return tuple((np.power(a, -np.arange(len(_TEMME_COEF), dtype=float)) @ _TEMME_COEF).tolist())
+    return tuple(_horner(_TEMME_COEF, 1.0 / a).tolist())
 
 
 def _temme_tail(a: float, x):
@@ -372,28 +370,24 @@ def _temme_tail(a: float, x):
     return tail, upper
 
 
-def _reg_gamma_points(a: float, xs: list[float]) -> tuple[list[float], list[float]]:
-    """P and Q at each float x >= 0 of xs, one point at a time.
+def _reg_gamma_point(a: float, x: float) -> tuple[float, float]:
+    """P and Q at one float x >= 0.
 
-    Each point goes to the regime function its array lane would, with
-    a float for x, and its ``(tail, upper)`` pair is completed by the
-    same step, so the results are the same bits.
+    x goes to the regime function its array lane would, as a float, and
+    its ``(tail, upper)`` pair is completed by the same step, so the
+    results are the same bits.
     """
-    if not all(x >= 0.0 for x in xs):
+    if not x >= 0.0:
         raise ValueError("incomplete gamma requires x >= 0")
-    ps, qs = [], []
-    for x in xs:
-        if x == 0.0 or x == math.inf:
-            tail, upper = 0.0, x == math.inf
-        elif _in_temme_window(a, x):
-            tail, upper = _temme_tail(a, x)
-        elif x < a + 1.0:
-            tail, upper = _lower_series(a, x), False
-        else:
-            tail, upper = _upper_continued_fraction(a, x), True
-        ps.append(1.0 - tail if upper else tail)
-        qs.append(tail if upper else 1.0 - tail)
-    return ps, qs
+    if x == 0.0 or x == math.inf:
+        tail, upper = 0.0, x == math.inf
+    elif _in_temme_window(a, x):
+        tail, upper = _temme_tail(a, x)
+    elif x < a + 1.0:
+        tail, upper = _lower_series(a, x), False
+    else:
+        tail, upper = _upper_continued_fraction(a, x), True
+    return (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
 
 
 def _reg_gamma_both(a: float, x):
@@ -401,12 +395,11 @@ def _reg_gamma_both(a: float, x):
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError("incomplete gamma requires finite a > 0")
     if isinstance(x, float) or np.ndim(x) == 0:
-        ps, qs = _reg_gamma_points(a, [float(x)])
-        return ps[0], qs[0]
+        return _reg_gamma_point(a, float(x))
     arr = np.asarray(x, dtype=float)
     if arr.size <= _POINTWISE_MAX:
-        ps, qs = _reg_gamma_points(a, arr.ravel().tolist())
-        return np.array(ps).reshape(arr.shape), np.array(qs).reshape(arr.shape)
+        p, q = np.array([_reg_gamma_point(a, v) for v in arr.ravel().tolist()]).reshape(-1, 2).T
+        return p.reshape(arr.shape), q.reshape(arr.shape)
     # NaN compares False, so one comparison refuses NaN and x < 0.
     if not np.all(arr >= 0.0):
         raise ValueError("incomplete gamma requires x >= 0")

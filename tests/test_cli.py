@@ -171,6 +171,21 @@ class TestEval:
             values = [value for _, value in sorted(rows)]
             assert values == sorted(values)
 
+    def test_values_do_not_depend_on_the_blas_kernel(self):
+        # OpenBLAS picks its kernels by CPU type at load time.  A build that
+        # ignores OPENBLAS_CORETYPE passes trivially.
+        outputs = set()
+        for core in ("Nehalem", "Sandybridge"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaussdist", "eval", "--k", "100", "--which", "cdf",
+                 "--grid", "11:17:0.003"],
+                capture_output=True, text=True, check=True,
+                cwd=os.path.dirname(os.path.dirname(__file__)),
+                env=dict(os.environ, PYTHONPATH="src", OPENBLAS_CORETYPE=core),
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
     def test_grid_rows_match_scalar_calls(self, capsys):
         # One array call per grid; each iterative lane stops at its own
         # convergence point, so a row equals the scalar call bit for bit.
@@ -435,6 +450,19 @@ class TestTest:
         assert code == 3
         assert "no sample values" in err
 
+    @pytest.mark.parametrize("header,argv", [(False, ["--k", "3"]), (True, [])])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, header, argv):
+        from gaussdist.distribution import DistanceDistribution
+
+        plain = tmp_path / "plain.txt"
+        values = DistanceDistribution(3.0).sample(500, seed=4).values.tolist()
+        plain.write_text(("# k: 3\n" if header else "") + "".join(f"{v!r}\n" for v in values))
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "test", str(plain), *argv)
+        assert expected[0] == 0
+        assert run(capsys, "test", str(marked), *argv) == expected
+
     def test_undecodable_file_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"# k: 2\n1.5\n\xff\n")
@@ -516,6 +544,13 @@ class TestDiagnose:
         code, out, _ = run(capsys, "diagnose", str(path))
         assert code == 0
         assert json.loads(out.strip())["k"] == 3.0
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        path = self.write_csv(tmp_path, np.random.default_rng(5).standard_normal((40, 4)))
+        expected = run(capsys, "diagnose", str(path))
+        assert expected[0] == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "diagnose", str(path)) == expected
 
     def test_ragged_rows_name_the_line(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -36,6 +36,21 @@ def test_counts_differing_ops_per_command_and_field():
     }
 
 
+def test_summary_names_at_most_ten_differing_ops_per_command():
+    parent = [_record(i, "eval", stdout="a") for i in range(13)] + [_record(13, "test")]
+    parent[2]["argv"] = ["eval", "--k", "1e6", "--at", "1 2"]
+    change = [dict(r, stdout="b") if 0 < r["index"] < 13 else dict(r) for r in parent]
+    change[13]["exit"] = 1
+    assert replay_ops.summary(parent, change) == [
+        "eval        13 ops,   12 differ (exit 0, stdout 12, stderr 0, outputs 0)",
+        "  w ops 1: eval",
+        "  w ops 2: eval --k 1e6 --at '1 2'",
+        *(f"  w ops {i}: eval" for i in range(3, 11)),
+        "test         1 ops,    1 differ (exit 1, stdout 0, stderr 0, outputs 0)",
+        "  w ops 13: test",
+    ]
+
+
 def test_identical_sides_differ_nowhere():
     records = [_record(0, "sample", outputs={"s.txt": "z"}), _record(1, "contrast", "MemoryError")]
     counts = replay_ops.compare(records, [dict(r) for r in records])

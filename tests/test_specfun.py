@@ -195,6 +195,25 @@ class TestTemmeExpansion:
             for f in (reg_gamma_p, reg_gamma_q):
                 assert f(20.0, x) == pytest.approx(f(below, x), rel=1e-13, abs=0)
 
+    def test_coefficients_fold_by_horners_rule(self):
+        # b_n = sum_k d[k][n] a^-k folded by Horner's rule in 1/a, one
+        # float at a time, so no BLAS kernel moves its bits; and it stays
+        # within 2 ulps of the sum of |terms| of the exact-rational fold.
+        exact = temme_table_exact(*_TEMME_COEF.shape)
+        rows = _TEMME_COEF.tolist()
+        rng = np.random.default_rng(30)
+        for a in (10.0 ** rng.uniform(math.log10(20.0), 12.0, 150)).tolist():
+            t = 1.0 / a
+            horner = rows[-1]
+            for row in rows[-2::-1]:
+                horner = [b * t + d for b, d in zip(horner, row)]
+            folded = specfun._temme_coef(a)
+            assert list(folded) == horner, a
+            inv = 1 / Fraction(a)
+            for n, b in enumerate(folded):
+                terms = [row[n] * inv**k for k, row in enumerate(exact)]
+                assert abs(Fraction(b) - sum(terms)) <= 2 * sum(map(abs, terms)) / 2**53, (a, n)
+
     def test_array_matches_scalar(self):
         xs = 1e5 * np.linspace(0.72, 1.28, 2 * specfun._POINTWISE_MAX + 1)
         assert np.array_equal(reg_gamma_q(1e5, xs), [reg_gamma_q(1e5, x) for x in xs])
@@ -231,12 +250,13 @@ class TestPointwisePath:
     def test_threshold_and_one_more_give_equal_rows(self, a, monkeypatch):
         xs = a * np.linspace(0.01, 3.0, specfun._POINTWISE_MAX + 1)
         calls = []
-        pointwise = specfun._reg_gamma_points
-        monkeypatch.setattr(specfun, "_reg_gamma_points",
+        pointwise = specfun._reg_gamma_point
+        monkeypatch.setattr(specfun, "_reg_gamma_point",
                             lambda *args: calls.append(1) or pointwise(*args))
         short = specfun._reg_gamma_both(a, xs[:-1])
+        assert len(calls) == specfun._POINTWISE_MAX
         long = specfun._reg_gamma_both(a, xs)
-        assert len(calls) == 1
+        assert len(calls) == specfun._POINTWISE_MAX
         for s_row, l_row in zip(short, long):
             assert s_row.tolist() == l_row[:-1].tolist()
 
@@ -274,7 +294,7 @@ class TestPointwisePath:
                 assert point.hex() == float(lane[0]).hex(), (a, x, log_x)
 
     def test_short_arrays_keep_their_shape(self):
-        for xs in (np.empty((0, 3)), np.array([[1.0, 2.0], [3.0, 40.0]])):
+        for xs in (np.empty(0), np.empty((0, 3)), np.array([[1.0, 2.0], [3.0, 40.0]])):
             p, q = reg_gamma_p(30.0, xs), reg_gamma_q(30.0, xs)
             assert p.shape == q.shape == xs.shape and p.dtype == q.dtype == float
 

@@ -17,7 +17,8 @@ other side, so paths in messages match.  Per op it records the exit code
 sha256 of every file the op writes.
 
 The output gives, per command, the number of ops and the number whose exit
-code, stdout, stderr or output files differ between the sides.
+code, stdout, stderr or output files differ between the sides, and under
+it the workload, kind, index and argv of up to 10 of those ops.
 `--records` also writes both sides' records as JSON.  The benchmark's files
 are only imported, never changed.  Standard library plus numpy, which
 `benchmark/workloads.py` needs.
@@ -31,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -42,6 +44,7 @@ from bench_pairs import extract, git  # noqa: E402
 
 SIDES = ("parent", "change")
 FIELDS = ("exit", "stdout", "stderr", "outputs")
+LISTED = 10  # differing ops named per command
 
 
 def output_paths(op: dict) -> list[str]:
@@ -91,6 +94,10 @@ def replay(src: Path, plans: dict, work: Path) -> list[dict]:
     return records
 
 
+def differing_fields(old: dict, new: dict) -> list[str]:
+    return [field for field in FIELDS if old[field] != new[field]]
+
+
 def compare(parent: list[dict], change: list[dict]) -> dict:
     """Per command: its op count, the ops that differ in any field, and per field."""
     if [(r["workload"], r["kind"], r["index"]) for r in parent] != [
@@ -100,11 +107,24 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     for old, new in zip(parent, change):
         entry = counts.setdefault(old["cmd"], {"ops": 0, "differ": 0, **dict.fromkeys(FIELDS, 0)})
         entry["ops"] += 1
-        differing = [field for field in FIELDS if old[field] != new[field]]
+        differing = differing_fields(old, new)
         entry["differ"] += bool(differing)
         for field in differing:
             entry[field] += 1
     return counts
+
+
+def summary(parent: list[dict], change: list[dict]) -> list[str]:
+    """Per command, its counts, then workload, kind, index and argv of its first differing ops."""
+    lines = []
+    for cmd, c in compare(parent, change).items():
+        fields = ", ".join(f"{field} {c[field]}" for field in FIELDS)
+        lines.append(f"{cmd:9} {c['ops']:4} ops, {c['differ']:4} differ ({fields})")
+        differ = [old for old, new in zip(parent, change)
+                  if old["cmd"] == cmd and differing_fields(old, new)]
+        lines += [f"  {r['workload']} {r['kind']} {r['index']}: {shlex.join(r['argv'])}"
+                  for r in differ[:LISTED]]
+    return lines
 
 
 def run_side(root: Path, src: Path, plans_path: Path, work: Path, out: Path) -> list[dict]:
@@ -153,12 +173,9 @@ def main(argv=None) -> int:
 
     if args.records:
         Path(args.records).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    counts = compare(records["parent"], records["change"])
-    print(f"seed {args.seed}: {sum(c['ops'] for c in counts.values())} ops "
+    print(f"seed {args.seed}: {len(records['parent'])} ops "
           f"(warm-ups included), HEAD against {args.change or 'the working tree'}")
-    for cmd, c in counts.items():
-        fields = ", ".join(f"{field} {c[field]}" for field in FIELDS)
-        print(f"{cmd:9} {c['ops']:4} ops, {c['differ']:4} differ ({fields})")
+    print("\n".join(summary(records["parent"], records["change"])))
     return 0
 
 
