@@ -179,10 +179,8 @@ def _is_number(cell: str) -> bool:
 def _cmd_eval(args) -> int:
     if args.grid is not None:
         points = _parse_grid(args.grid)
-    elif args.at is not None:
-        points = np.asarray(_parse_float_list(args.at, "point"))
     else:
-        raise ValueError("eval needs --grid start:stop:step or --at v1,v2,...")
+        points = np.asarray(_parse_float_list(args.at, "point"))
     dist = DistanceDistribution(args.k)
     if args.which == "quantile":
         values = [dist.quantile(p) for p in points.tolist()]
@@ -442,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="tabulate pdf/cdf/survival/quantile values")
     p.add_argument("--k", type=float, required=True, help="dimension (real >= 1)")
     p.add_argument("--which", choices=("pdf", "cdf", "survival", "quantile"), required=True)
-    points = p.add_mutually_exclusive_group()
+    points = p.add_mutually_exclusive_group(required=True)
     points.add_argument("--grid", help="evaluation grid start:stop:step")
     points.add_argument("--at", help="explicit comma-separated evaluation points")
     p.add_argument("--output", help="write rows here instead of stdout")

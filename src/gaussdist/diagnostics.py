@@ -184,16 +184,18 @@ def _mean_and_variance(values: np.ndarray) -> tuple[float, float]:
     """np.mean(values) and np.var(values, ddof=1) of sorted non-negative values.
 
     Scaled by a power of two to a largest in [1/2, 1) and back, so no square
-    or sum overflows; a variance past the double range is inf.
+    or sum overflows; a variance past the double range is inf.  np.var has
+    no in-place form, so its steps are spelled out inside the one scaled
+    copy: the same sums in the same order, one copy of values fewer.
     """
     exp = math.frexp(float(values[-1]))[1]
-    scaled = np.ldexp(values, -exp)
-    mean = math.ldexp(float(np.mean(scaled)), exp)
-    try:
-        var = math.ldexp(float(np.var(scaled, ddof=1)), 2 * exp)
-    except OverflowError:
-        var = math.inf
-    return mean, var
+    dev = np.ldexp(values, -exp)
+    mean = np.add.reduce(dev) / dev.size
+    dev -= mean
+    dev *= dev
+    var = np.add.reduce(dev) / (dev.size - 1)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(mean, exp)), float(np.ldexp(var, 2 * exp))
 
 
 def sample_fit_report(

@@ -1129,7 +1129,8 @@ class TestParserReuse:
 
         code, out, err = run(capsys, "eval", "--k", "2", "--which", "pdf")
         assert (code, out) == (2, "")
-        assert err == "usage error: eval needs --grid start:stop:step or --at v1,v2,...\n"
+        assert err.startswith("usage: gaussdist eval")
+        assert err.endswith("error: one of the arguments --grid --at is required\n")
 
         missing = tmp_path / "absent.txt"
         code, out, err = run(capsys, "test", str(missing), "--k", "2")

@@ -190,6 +190,29 @@ class TestPairwiseDistances:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_fit_report_peak_is_the_vector_and_its_sorted_copy(self):
+        # 2000 x 10: a 15.3 MiB vector dwarfs a block and the KS knots, so
+        # a third copy of the distances (a variance temporary) shows.
+        data = standardize(normal_dataset(2000, 10, 5))
+        tracemalloc.start()
+        try:
+            fit_report(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 8 * (2000 * 1999 // 2)
+
+    def test_sample_fit_report_adds_one_copy_of_the_sample(self):
+        law = DistanceDistribution(10.0)
+        sample = law.sample(2_000_000, seed=3)
+        tracemalloc.start()
+        try:
+            sample_fit_report(sample, law, dependence_caveat=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * sample.values.nbytes
+
     def test_refuses_a_distance_vector_above_the_limit(self, monkeypatch):
         # At 1 GiB, 16384 rows have 2^30 - 65536 bytes of distances and
         # 16385 rows 65536 bytes more; the refusal allocates nothing.
