@@ -51,18 +51,6 @@ def _gamma_variate(r):
         return r, (0.5 * r) * (0.5 * r)
 
 
-def _normal_tail_quantile(t: float) -> float:
-    """The z >= 0 with standard-normal upper tail t, for 0 < t <= 1/2.
-
-    Abramowitz & Stegun 26.2.23, absolute error under 4.5e-4: enough
-    for a starting point.
-    """
-    w = math.sqrt(-2.0 * math.log(t))
-    return w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
-        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))
-    )
-
-
 @dataclass(frozen=True)
 class DistanceDistribution:
     """Distance law for a given dimension k (real, >= 1)."""
@@ -122,6 +110,9 @@ class DistanceDistribution:
         h = 1/(9a), a = k/2, raised in the lower tail to the root of
         the bound cdf <= (r^2/4)^a / Gamma(a + 1), which is the quantile
         itself once its relative error, under r^2/4, is below rounding.
+        z, the normal quantile of the tail, is Wichura's AS241 to double
+        precision, ``statistics.NormalDist().inv_cdf``, imported here so
+        that importing the CLI does not load ``statistics``.
 
         Where the spacing of doubles at the mean sqrt(2k) is at least 1/16
         (k above about 4e28), the law's sd, under 1, spans at most 16 of
@@ -149,12 +140,14 @@ class DistanceDistribution:
                     lo = mid
                 else:
                     hi = mid
+        from statistics import NormalDist
+
         upper = p > 0.5
         target = 1.0 - p if upper else p
         tail = self.survival if upper else self.cdf
         shape = 0.5 * self.k
         h = 1.0 / (9.0 * shape)
-        z = _normal_tail_quantile(target)
+        z = -NormalDist().inv_cdf(target)
         cube_root = 1.0 - h + (z if upper else -z) * math.sqrt(h)
         r = 2.0 * math.sqrt(shape) * cube_root**1.5 if cube_root > 0.0 else 0.0
         if not upper:

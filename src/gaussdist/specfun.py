@@ -347,7 +347,7 @@ def _temme_tail(a: float, x):
     eta^2/2 = sigma - log1p(sigma), sigma = (x - a)/a and eta of the
     sign of sigma.  math and numpy round sqrt and copysign alike, and
     both paths take np.exp, so a float gives the bits of its array lane.
-    Arrays are updated in place to bound peak memory.
+    R is scaled in place, so an array takes no copies for it.
     """
     scalar = isinstance(x, float)
     sqrt, copysign = (math.sqrt, math.copysign) if scalar else (np.sqrt, np.copysign)
@@ -359,15 +359,10 @@ def _temme_tail(a: float, x):
     signed_r = copysign(np.exp(-a * half_eta_sq), sigma)
     signed_r *= _horner(_temme_coef(a), eta)
     signed_r /= math.sqrt(2.0 * math.pi * a)
-    if scalar:
-        return math.erfc(abs(eta) * math.sqrt(0.5 * a)) * 0.5 + signed_r, upper
+    y = abs(eta) * math.sqrt(0.5 * a)
     # numpy has no erfc; math.erfc per element keeps the runtime numpy-only.
-    y = np.abs(eta, out=eta)
-    y *= math.sqrt(0.5 * a)
-    tail = np.fromiter(map(math.erfc, y.tolist()), float, y.size)
-    tail *= 0.5
-    tail += signed_r
-    return tail, upper
+    erfc = math.erfc(y) if scalar else np.fromiter(map(math.erfc, y.tolist()), float, y.size)
+    return erfc * 0.5 + signed_r, upper
 
 
 def _reg_gamma_point(a: float, x: float) -> tuple[float, float]:

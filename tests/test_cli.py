@@ -1307,6 +1307,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.0 0.5641895835477563"
 
+    def test_importing_the_cli_defers_statistics_and_threads(self):
+        # What the benchmark's setup times: the import and the parser.
+        # `quantile` imports statistics, `_blocked_draw` concurrent.futures.
+        script = (
+            "import sys\n"
+            "from gaussdist.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted({'statistics', 'concurrent.futures'} & set(sys.modules)))\n"
+            "from gaussdist import DistanceDistribution\n"
+            "DistanceDistribution(5).quantile(0.99)\n"
+            "print('statistics' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue\n", "")
+
     def test_usage_error_status(self):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.run(

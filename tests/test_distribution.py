@@ -279,13 +279,36 @@ class TestQuantile:
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
     @pytest.mark.parametrize("k", [1, 2, 10, 100, 1e4])
-    @pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-12, 1e-9, 1.0 - 1e-15])
+    @pytest.mark.parametrize(
+        "p", [1e-300, 1e-20, 1e-12, 1e-9, 0.002, 0.3, 0.5, 0.7, 0.998, 1.0 - 1e-15]
+    )
     def test_tail_quantiles_against_scipy(self, k, p):
         # R = sqrt(2) chi_k; at k = 1 that is 2 |N(0, 1/2)|, whose quantile
         # 2 erfinv(p) stays representable at p = 1e-300 where chi.ppf
         # rounds to 0.
         expected = 2.0 * erfinv(p) if k == 1 else chi.ppf(p, k, scale=math.sqrt(2.0))
         assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_large_k_quantiles_take_few_tail_evaluations(self, monkeypatch):
+        # At large k the Wilson-Hilferty start from an exact normal
+        # quantile is within Newton's tolerance of the root, or one step
+        # from it, for most p.
+        calls = []
+
+        def counted(tail):
+            def wrapper(law, r):
+                calls.append(r)
+                return tail(law, r)
+
+            return wrapper
+
+        for name in ("cdf", "survival"):
+            monkeypatch.setattr(DistanceDistribution, name, counted(getattr(DistanceDistribution, name)))
+        rng = np.random.default_rng(2012)
+        ks = np.exp(rng.uniform(math.log(1e4), math.log(1e6), 200))
+        for k, p in zip(ks, rng.uniform(0.002, 0.998, 200)):
+            DistanceDistribution(k).quantile(p)
+        assert len(calls) / 200 <= 2.5
 
     @pytest.mark.parametrize("k", [400, 600, 800])
     def test_subnormal_lower_tail_takes_the_bisection_safeguard(self, k):

@@ -14,11 +14,16 @@ against itself).  Each side runs in its own child process with
 calls `main(argv)` once per warm-up and op, in the same directories as the
 other side, so paths in messages match.  Per op it records the exit code
 (or the name of the exception `main` raised), stdout, stderr and the
-sha256 of every file the op writes.
+text of every file the op writes.
 
 The output gives, per command, the number of ops and the number whose exit
 code, stdout, stderr or output files differ between the sides, and under
-it the workload, kind, index and argv of up to 10 of those ops.
+it the workload, kind, index and argv of up to 10 of those ops.  Each
+differing op's stdout and output files are split into tokens on
+whitespace, commas and brackets; where both sides have as many tokens and
+every differing pair is two floats, the op's line says how many values
+moved and the largest move in ulps, and otherwise that the texts differ
+in structure.  The command's line sums these over all its differing ops.
 `--records` also writes both sides' records as JSON.  The benchmark's files
 are only imported, never changed.  Standard library plus numpy, which
 `benchmark/workloads.py` needs.
@@ -28,12 +33,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -45,6 +51,7 @@ from bench_pairs import extract, git  # noqa: E402
 SIDES = ("parent", "change")
 FIELDS = ("exit", "stdout", "stderr", "outputs")
 LISTED = 10  # differing ops named per command
+SEPARATORS = re.compile(r"[\s,\[\]{}]+")
 
 
 def output_paths(op: dict) -> list[str]:
@@ -58,9 +65,9 @@ def output_paths(op: dict) -> list[str]:
     return [path, path + ".meta.json"] if argv[0] == "plotdata" else [path]
 
 
-def sha256(path: str) -> str | None:
+def read(path: str) -> str | None:
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return Path(path).read_text(encoding="utf-8")
     except OSError:
         return None
 
@@ -89,7 +96,7 @@ def replay(src: Path, plans: dict, work: Path) -> list[dict]:
                     "workload": workload, "kind": kind, "index": index,
                     "cmd": op["argv"][0], "argv": op["argv"], "exit": code,
                     "stdout": out.getvalue(), "stderr": err.getvalue(),
-                    "outputs": {p: sha256(p) for p in output_paths(op)},
+                    "outputs": {p: read(p) for p in output_paths(op)},
                 })
     return records
 
@@ -114,16 +121,52 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     return counts
 
 
+def tokens(record: dict) -> list[str]:
+    """The tokens of an op's stdout and output files; a missing file is one token, "<missing>"."""
+    texts = [record["stdout"], *record["outputs"].values()]
+    return [token for text in texts
+            for token in (SEPARATORS.split(text) if text is not None else ["<missing>"]) if token]
+
+
+def ordered(x: float) -> int:
+    """The bits of x as an int64, mirrored below zero: the order of the floats, and -0.0 is 0."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def moves(old: dict, new: dict) -> list[int] | None:
+    """The move in ulps of each value that differs, or None where the texts differ in structure."""
+    a, b = tokens(old), tokens(new)
+    if len(a) != len(b):
+        return None
+    try:
+        return [abs(ordered(float(x)) - ordered(float(y))) for x, y in zip(a, b) if x != y]
+    except ValueError:
+        return None
+
+
+def described(ulps: list[int] | None) -> str:
+    if ulps is None:
+        return "texts differ in structure"
+    return f"values moved {len(ulps)}, max ulps {max(ulps, default=0)}"
+
+
 def summary(parent: list[dict], change: list[dict]) -> list[str]:
-    """Per command, its counts, then workload, kind, index and argv of its first differing ops."""
+    """Per command, its counts and moves, then workload, kind, index, argv and moves of
+    its first differing ops."""
     lines = []
     for cmd, c in compare(parent, change).items():
         fields = ", ".join(f"{field} {c[field]}" for field in FIELDS)
-        lines.append(f"{cmd:9} {c['ops']:4} ops, {c['differ']:4} differ ({fields})")
-        differ = [old for old, new in zip(parent, change)
+        differ = [(old, moves(old, new)) for old, new in zip(parent, change)
                   if old["cmd"] == cmd and differing_fields(old, new)]
+        numeric = [ulps for _, ulps in differ if ulps is not None]
+        head = f"{cmd:9} {c['ops']:4} ops, {c['differ']:4} differ ({fields})"
+        if differ:
+            head += (f"; {described([u for ulps in numeric for u in ulps])}, "
+                     f"in structure {len(differ) - len(numeric)}")
+        lines.append(head)
         lines += [f"  {r['workload']} {r['kind']} {r['index']}: {shlex.join(r['argv'])}"
-                  for r in differ[:LISTED]]
+                  f" -> {described(ulps)}" for r, ulps in differ[:LISTED]]
     return lines
 
 
