@@ -174,7 +174,7 @@ class FitReport:
     variance_observed: float
     variance_expected: float
     effective_dimension: float
-    dependence_caveat: bool = True
+    dependence_caveat: bool
 
     def to_dict(self) -> dict:
         return dict(vars(self))

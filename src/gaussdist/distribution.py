@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import _validate_k
-from .montecarlo import EmpiricalSample, _blocked_draw, _check_seed
+from .montecarlo import EmpiricalSample, _blocked_draw
 from .specfun import ConvergenceError, _log_gamma_density, reg_gamma_p, reg_gamma_q
 
 __all__ = ["DistanceDistribution"]
@@ -26,6 +26,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _LN_2 = math.log(2.0)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _QUANTILE_RTOL = 1e-14
 _QUANTILE_NOISE_GATE = 1e-8
 _QUANTILE_MAX_ITER = 200
@@ -153,6 +154,12 @@ class DistanceDistribution:
         if not upper:
             floor = 2.0 * p ** (1.0 / self.k) * math.exp(math.lgamma(shape + 1.0) / self.k)
             if floor * floor / 4.0 <= _EPS:
+                if p >= _TINY:
+                    # ln p multiplies the rounding of 1/k above.  One Newton step on
+                    # (r/2)^k = p Gamma(k/2 + 1) takes that out where p, and so the
+                    # residual, has full precision; this return needs k < 42.
+                    miss = (0.5 * floor) ** self.k / (p * math.gamma(shape + 1.0)) - 1.0
+                    floor -= floor * miss / (self.k * (1.0 + miss))
                 return floor
             r = max(r, floor)
         lo, hi = 0.0, math.inf
@@ -192,15 +199,11 @@ class DistanceDistribution:
         """n i.i.d. draws from the law, as R = 2 sqrt(G), G ~ Gamma(k/2).
 
         Deterministic for fixed (k, n, seed) and independent of the
-        thread count.
+        thread count.  ``_blocked_draw`` checks n and the seed and sorts.
         """
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        seed = _check_seed(seed)
         shape = self.k / 2.0
 
         def draw(rng: np.random.Generator, size: int) -> np.ndarray:
             return 2.0 * np.sqrt(rng.gamma(shape, size=size))
 
-        values = _blocked_draw(n, seed, _SAMPLE_BLOCK, draw, threads)
-        return EmpiricalSample(values)
+        return _blocked_draw(n, seed, _SAMPLE_BLOCK, draw, threads)

@@ -8,7 +8,8 @@ Randomness comes from numpy's PCG64 generator (ziggurat normal variates,
 Marsaglia-Tsang gamma variates).  Work is split into fixed-size blocks
 and every block gets its own substream seeded by ``SeedSequence((seed,
 block_index))``, so output is byte-identical no matter how many worker
-threads process the blocks.
+threads process the blocks.  Both samplers draw through ``_blocked_draw``,
+which checks n >= 1, the seed and the size and sorts the draws.
 
 A sample is only its sorted values: it records neither the dimension
 nor the seed it came from.  The `sample` command writes those into its
@@ -106,8 +107,11 @@ def _blocked_draw(
     block: int,
     draw: Callable[[np.random.Generator, int], np.ndarray],
     threads: int = 1,
-) -> np.ndarray:
-    """Concatenate per-block draws; block boundaries fix the streams."""
+) -> EmpiricalSample:
+    """Check n >= 1, the seed and the size, then sort n block-by-block draws into a sample."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    seed = _check_seed(seed)
     _check_array_size(n, 1)
     starts = range(0, n, block)
 
@@ -121,7 +125,7 @@ def _blocked_draw(
             parts = list(pool.map(one, starts))
     else:
         parts = [one(start) for start in starts]
-    return np.concatenate(parts)
+    return EmpiricalSample(np.concatenate(parts))
 
 
 def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSample:
@@ -132,9 +136,6 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
     regardless of thread count.
     """
     ki = _integer_dimension(k)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    seed = _check_seed(seed)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         psi = rng.standard_normal((size, ki))
@@ -143,8 +144,7 @@ def simulate_pairs(k: int, n: int, seed: int, threads: int = 1) -> EmpiricalSamp
 
     block = max(256, (1 << 21) // ki)
     _check_array_size(min(block, n), ki)
-    values = _blocked_draw(n, seed, block, draw, threads)
-    return EmpiricalSample(values)
+    return _blocked_draw(n, seed, block, draw, threads)
 
 
 def ks_one_sample(sample: EmpiricalSample, dist: "DistanceDistribution") -> float:

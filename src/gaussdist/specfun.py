@@ -12,10 +12,12 @@ their domain in three:
   when x >= a + 1.
 
 Outside the Temme window both iterations converge in under ~100 steps.
-Each regime gives one tail and its side, ``(tail, upper)``: Q where
-upper, else P.  Each path forms P and Q from that pair in one place, the
-other tail as 1 - tail, so P + Q == 1 holds to machine precision by
-construction.
+Every regime body returns one tail and its side, ``(tail, upper)``: Q
+where upper, else P.  The series gives ``(P, False)``, the fraction
+``(Q, True)`` and Temme's expansion the tail on x's side of a.  That
+tail is formed directly, so it keeps full relative precision however
+small; each path forms the other as 1 - tail in one place, so P + Q == 1
+holds to machine precision by construction.
 
 A scalar x, or an array of at most ``_POINTWISE_MAX`` (16) points, is
 evaluated one Python float at a time (``_reg_gamma_point``), where
@@ -59,6 +61,10 @@ class ConvergenceError(RuntimeError):
 # Convergence control of the series and the continued fraction.
 _REL_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 300
+# Both stop at a relative step below this.  A step bounds the rest of
+# the sum only up to the contraction ratio, so the 0.1 keeps the final
+# error an order of magnitude inside _REL_TOLERANCE.
+_STEP_TOLERANCE = 0.1 * _REL_TOLERANCE
 
 # Inputs of at most this many points are evaluated one Python float at a
 # time (``_reg_gamma_point``), larger arrays by the vectorized lanes; both
@@ -224,23 +230,19 @@ def _log_gamma_density(a: float, x, log_x):
 
 
 def _lower_series(a: float, x):
-    """P(a, x) by the power series; requires 0 < x < a + 1 elementwise.
+    """``(P(a, x), False)`` by the power series; requires 0 < x < a + 1 elementwise.
 
     x is a float or an array, evaluated elementwise; each array lane
     stops at its own convergence point, so it gives the bits of a float.
     """
     scalar = isinstance(x, float)
-    # The 0.1 factor on the termination tests keeps the final error an
-    # order of magnitude inside _REL_TOLERANCE (the stopping increment
-    # only bounds the remaining tail up to the contraction ratio).
-    stop = 0.1 * _REL_TOLERANCE
     term, total = (1.0, 1.0) if scalar else (np.ones_like(x), np.ones_like(x))
     rate = a
     for _ in range(_MAX_ITERATIONS):
         rate += 1.0
         term *= x / rate
         total += term
-        live = term > stop * total
+        live = term > _STEP_TOLERANCE * total
         if scalar:
             if not live:
                 break
@@ -255,14 +257,14 @@ def _lower_series(a: float, x):
             f"within {_MAX_ITERATIONS} iterations"
         )
     density = np.exp(_log_gamma_density(a, x, np.log(x)))
-    return total * (float(density) if scalar else density) / a
+    return total * (float(density) if scalar else density) / a, False
 
 
 def _upper_continued_fraction(a: float, x):
-    """Q(a, x) by the modified Lentz continued fraction; requires x >= a + 1.
+    """``(Q(a, x), True)`` by the modified Lentz continued fraction; requires x >= a + 1.
 
     x is a float or an array, evaluated elementwise as in
-    ``_lower_series``.  Gamma(a, x) e^x x^-a =
+    ``_lower_series``, with a plain True side.  Gamma(a, x) e^x x^-a =
     1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with b_i = x + 1 - a + 2i and
     a_i = -i (i - a) (Thompson & Barnett 1986).
     Lentz carries the ratios of successive numerators and denominators,
@@ -271,7 +273,6 @@ def _upper_continued_fraction(a: float, x):
     Lentz denominators stay at least b_i / 2, so neither comes near 0.
     """
     scalar = isinstance(x, float)
-    stop = 0.1 * _REL_TOLERANCE
     b = x + (1.0 - a)
     d = 1.0 / b
     # The leading term of the fraction is 0, so C starts at infinity.
@@ -288,7 +289,7 @@ def _upper_continued_fraction(a: float, x):
             # A converged lane keeps its h, so it ends where a float breaks.
             delta[done] = 1.0
         h *= delta
-        done = abs(delta - 1.0) <= stop
+        done = abs(delta - 1.0) <= _STEP_TOLERANCE
         if done if scalar else done.all():
             break
     else:
@@ -297,7 +298,7 @@ def _upper_continued_fraction(a: float, x):
             f"within {_MAX_ITERATIONS} iterations"
         )
     density = np.exp(_log_gamma_density(a, x, np.log(x)))
-    return h * (float(density) if scalar else density)
+    return h * (float(density) if scalar else density), True
 
 
 def _horner(coef, t):
@@ -339,7 +340,7 @@ def _temme_coef(a: float) -> tuple[float, ...]:
 
 
 def _temme_tail(a: float, x):
-    """Q(a, x) where x >= a and P(a, x) where x < a, and whether x >= a.
+    """``(tail, upper)``: ``(Q(a, x), True)`` where x >= a, else ``(P(a, x), False)``.
 
     x is a float or an array, evaluated elementwise.  Temme's expansion
     Q = erfc(eta sqrt(a/2))/2 + R and P = erfc(-eta sqrt(a/2))/2 - R, with
@@ -368,20 +369,18 @@ def _temme_tail(a: float, x):
 def _reg_gamma_point(a: float, x: float) -> tuple[float, float]:
     """P and Q at one float x >= 0.
 
-    x goes to the regime function its array lane would, as a float, and
-    its ``(tail, upper)`` pair is completed by the same step, so the
+    x goes to the regime body its array lane would, as a float, and the
+    body's ``(tail, upper)`` pair is completed by the same step, so the
     results are the same bits.
     """
     if not x >= 0.0:
         raise ValueError("incomplete gamma requires x >= 0")
     if x == 0.0 or x == math.inf:
         tail, upper = 0.0, x == math.inf
-    elif _in_temme_window(a, x):
-        tail, upper = _temme_tail(a, x)
-    elif x < a + 1.0:
-        tail, upper = _lower_series(a, x), False
     else:
-        tail, upper = _upper_continued_fraction(a, x), True
+        body = (_temme_tail if _in_temme_window(a, x)
+                else _lower_series if x < a + 1.0 else _upper_continued_fraction)
+        tail, upper = body(a, x)
     return (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
 
 
@@ -403,33 +402,21 @@ def _reg_gamma_both(a: float, x):
     tail = np.zeros_like(arr)
     upper = arr >= a + 1.0
     bulk = _in_temme_window(a, arr)
-    if np.any(bulk):
-        tail[bulk], upper[bulk] = _temme_tail(a, arr[bulk])
-    series = ~bulk & ~upper & (arr > 0.0)
-    if np.any(series):
-        tail[series] = _lower_series(a, arr[series])
-    fraction = ~bulk & upper & (arr < np.inf)
-    if np.any(fraction):
-        tail[fraction] = _upper_continued_fraction(a, arr[fraction])
+    for lanes, body in (
+        (bulk, _temme_tail),
+        (~bulk & ~upper & (arr > 0.0), _lower_series),
+        (~bulk & upper & (arr < np.inf), _upper_continued_fraction),
+    ):
+        if np.any(lanes):
+            tail[lanes], upper[lanes] = body(a, arr[lanes])
     return np.where(upper, 1.0 - tail, tail), np.where(upper, tail, 1.0 - tail)
 
 
 def reg_gamma_p(a, x):
-    """Regularized lower incomplete gamma P(a, x), in [0, 1].
-
-    Computed directly from the power series when x < a + 1 (no
-    cancellation against 1), by complement of the continued fraction
-    otherwise; near the bulk at a >= 20 (|x - a| < 0.3 a) both tails
-    come from Temme's expansion.
-    """
+    """Regularized lower incomplete gamma P(a, x), in [0, 1]."""
     return _reg_gamma_both(a, x)[0]
 
 
 def reg_gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a).
-
-    Monotone non-increasing in x; evaluated by continued fraction in the
-    tail (x >= a + 1) so small survival probabilities keep full relative
-    precision.
-    """
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a), non-increasing in x."""
     return _reg_gamma_both(a, x)[1]

@@ -221,6 +221,12 @@ class TestMoments:
         code, _, _ = run(capsys, "moments", "--k", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("command,spec", [("moments", "1,abc"), ("contrast", "1,x")])
+    def test_unparsable_k_list_is_usage_error(self, capsys, command, spec):
+        assert run(capsys, command, "--k", spec) == (
+            2, "", f"usage error: bad k list: {spec!r}\n"
+        )
+
     def test_huge_dimension_has_finite_central_moments(self, capsys):
         # At k = 1.7e308, 8k overflows: mu4 must form k (1 - mu2) first.
         # m1 ~ sqrt(2k) stays finite; m3 ~ (2k)^1.5 and m4 ~ 4k^2 do not.
@@ -551,6 +557,16 @@ class TestDiagnose:
         assert expected[0] == 0
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert run(capsys, "diagnose", str(path)) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "no data rows"),
+        ("# only\n\n# comments\n", "no data rows"),
+        ("a,b,c\n", "no data rows after header"),
+    ])
+    def test_file_without_data_rows_is_data_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert run(capsys, "diagnose", str(path)) == (3, "", f"error: {path}: {message}\n")
 
     def test_ragged_rows_name_the_line(self, capsys, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -1277,8 +1293,10 @@ class TestAllocationFailure:
         from gaussdist import montecarlo
 
         drawn = []
-        monkeypatch.setattr(montecarlo, "_blocked_draw",
-                            lambda n, *args: drawn.append(n) or np.ones(n))
+        monkeypatch.setattr(
+            montecarlo, "_blocked_draw",
+            lambda n, *args: drawn.append(n) or montecarlo.EmpiricalSample(np.ones(n)),
+        )
         argv = ["sample", "--k", "524288", "--n", "256", "--method", "direct"]
         assert run(capsys, *argv, "--output", str(tmp_path / "s")) == (0, "", "")
         assert drawn == [256]

@@ -289,6 +289,17 @@ class TestQuantile:
         expected = 2.0 * erfinv(p) if k == 1 else chi.ppf(p, k, scale=math.sqrt(2.0))
         assert DistanceDistribution(k).quantile(p) == pytest.approx(expected, rel=1e-13, abs=0)
 
+    def test_lower_tail_floor_against_mpmath(self):
+        # Here r^2/4 ~ 3e-403, so P(k/2, r^2/4) = (r/2)^k / Gamma(k/2 + 1)
+        # to 400 digits and the root is 2 (p Gamma(k/2 + 1))^(1/k).  The
+        # floor formed in floating point alone misses it by 221.6 ulps.
+        k, p = 1.421062857144212, 1.0951543873132003e-286
+        with mpmath.workdps(60):
+            half_k = mpmath.mpf(k) / 2
+            root = 2 * (mpmath.mpf(p) * mpmath.gamma(half_k + 1)) ** (0.5 / half_k)
+            miss = float(abs(DistanceDistribution(k).quantile(p) - root))
+        assert miss <= 4 * math.ulp(float(root))
+
     def test_large_k_quantiles_take_few_tail_evaluations(self, monkeypatch):
         # At large k the Wilson-Hilferty start from an exact normal
         # quantile is within Newton's tolerance of the root, or one step

@@ -64,10 +64,10 @@ class TestSimulatePairs:
 
     def test_blocks_draw_from_their_own_substreams(self):
         # Block i covers values [i * block, (i + 1) * block) and draws them
-        # from substream i; the last block is short.
-        values = montecarlo._blocked_draw(10, 7, 4, lambda rng, size: rng.random(size))
+        # from substream i; the last block is short.  The sample is sorted.
+        sample = montecarlo._blocked_draw(10, 7, 4, lambda rng, size: rng.random(size))
         expected = [montecarlo._substream(7, i).random(size) for i, size in enumerate((4, 4, 2))]
-        assert np.array_equal(values, np.concatenate(expected))
+        assert np.array_equal(sample.values, np.sort(np.concatenate(expected)))
 
     def test_one_dimensional_mean(self):
         n = 10**6

@@ -276,6 +276,22 @@ class TestPointwisePath:
             reg_gamma_p(a, points)
             assert reached == [regime]
 
+    @pytest.mark.parametrize("body,a,x,upper", [
+        ("_temme_tail", 500.0, 480.0, False),
+        ("_temme_tail", 500.0, 520.0, True),
+        ("_lower_series", 30.0, 5.0, False),
+        ("_upper_continued_fraction", 30.0, 80.0, True),
+    ])
+    def test_each_body_returns_its_tail_and_side(self, body, a, x, upper):
+        # Every body returns (tail, upper): Q where upper, else P.
+        p_ref, q_ref = reference_gamma_pq(a, x)
+        tail, side = getattr(specfun, body)(a, x)
+        assert side is upper
+        assert tail == pytest.approx(float(q_ref if upper else p_ref), rel=1e-12)
+        tails, sides = getattr(specfun, body)(a, np.full(3, x))
+        assert np.all(sides == upper)
+        assert tails.tolist() == [tail] * 3
+
     def test_log_density_float_matches_its_lane(self):
         # x < a/2, where log_x carries the rest of log(2x/a); an x deep
         # enough for the _LOG_DENSITY_FLOOR clamp; and x = 0 after
